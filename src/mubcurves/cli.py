@@ -146,9 +146,23 @@ def parse_curve_arg(F: GF2n, text: str) -> C.PointSet:
     """Explicit-form string, or a JSON list of [alpha, beta] integer pairs."""
     text = text.strip()
     if text.startswith("["):
-        pairs = json.loads(text)
-        return C.assert_admissible(F, frozenset((int(a), int(b)) for a, b in pairs))
+        try:
+            pairs = json.loads(text)
+        except ValueError as exc:
+            raise InputError(f"bad JSON curve {text!r}: {exc}") from None
+        return _curve_from_pairs(F, pairs)
     return parse_explicit(F, text)
+
+
+def _curve_from_pairs(F: GF2n, pairs: object) -> C.PointSet:
+    """A curve given as a JSON list of [alpha, beta] pairs of field elements."""
+    try:
+        pts = frozenset((int(a), int(b)) for a, b in pairs)
+    except (TypeError, ValueError):
+        raise InputError(f"curve {pairs!r} is not a list of [alpha, beta] pairs") from None
+    if any(not (0 <= c < F.order) for p in pts for c in p):
+        raise InputError(f"curve {pairs!r} has coordinates outside 0..{F.order - 1}")
+    return C.assert_admissible(F, pts)
 
 
 def parse_ops(text: str) -> list[tuple[str, int]]:
@@ -161,23 +175,25 @@ def parse_ops(text: str) -> list[tuple[str, int]]:
         if "@" not in chunk:
             raise InputError(f"bad op {chunk!r}; expected axis@qubit like x@1")
         axis, qubit = chunk.split("@", 1)
-        ops.append((axis.strip(), int(qubit)))
+        try:
+            ops.append((axis.strip(), int(qubit)))
+        except ValueError:
+            raise InputError(f"bad op {chunk!r}; the qubit must be an integer") from None
     return ops
 
 
 def load_seed_curves(F: GF2n, path: str) -> list[C.PointSet]:
     """Seed file: JSON list of curves, each a list of [alpha, beta] pairs
     or an explicit-form string."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    out = []
-    for entry in raw:
-        if isinstance(entry, str):
-            out.append(parse_explicit(F, entry))
-        else:
-            out.append(C.assert_admissible(
-                F, frozenset((int(a), int(b)) for a, b in entry)))
-    return out
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read seed file {path!r}: {exc}") from None
+    if not isinstance(raw, list):
+        raise InputError(f"seed file {path!r} must hold a JSON list of curves")
+    return [parse_explicit(F, entry) if isinstance(entry, str) else _curve_from_pairs(F, entry)
+            for entry in raw]
 
 
 # -- subcommands -----------------------------------------------------------------

@@ -105,6 +105,17 @@ def is_admissible(F: GF2n, points: Iterable[Point]) -> bool:
             and is_commutative(F, pts))
 
 
+def point_generators(pts: PointSet) -> list[Point]:
+    """Generators of an additive subgroup: greedily, in sorted point order."""
+    gens: list[Point] = []
+    span = {(0, 0)}
+    for p in sorted(pts):
+        if p not in span:
+            gens.append(p)
+            span |= {(p[0] ^ a, p[1] ^ b) for a, b in span}
+    return gens
+
+
 def assert_admissible(F: GF2n, points: Iterable[Point]) -> PointSet:
     pts = frozenset(points)
     if len(pts) != F.order or not is_additive_subgroup(pts):

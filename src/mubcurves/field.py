@@ -326,7 +326,7 @@ def make_field(n: int, modulus: Optional[int] = None,
 
 def modulus_from_bits(bits: str) -> int:
     """Parse a little-endian coefficient string, e.g. "111" -> x^2+x+1."""
-    if not bits or any(c not in "01" for c in bits):
+    if not isinstance(bits, str) or not bits or any(c not in "01" for c in bits):
         raise InputError(f"bad modulus bit string {bits!r}")
     return int(bits[::-1], 2)
 
@@ -337,14 +337,24 @@ def modulus_to_bits(modulus: int) -> str:
 
 def load_field_config(path: str) -> dict[int, dict]:
     """Field presets: {"2": {"modulus": "111", "primitive": 2}, ...}."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read field config {path!r}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise InputError(f"field config {path!r} must be a JSON object keyed by degree")
     presets = {}
     for key, entry in raw.items():
-        n = int(key)
-        presets[n] = {
+        if not key.isdecimal() or not isinstance(entry, dict):
+            raise InputError(f"bad field config entry {key!r}: {entry!r}; expected "
+                             '"<n>": {"modulus": "<bits>", "primitive": <int>}')
+        primitive = entry.get("primitive")
+        if primitive is not None and type(primitive) is not int:
+            raise InputError(f"field config primitive {primitive!r} is not an integer")
+        presets[int(key)] = {
             "modulus": modulus_from_bits(entry["modulus"]) if "modulus" in entry else None,
-            "primitive": entry.get("primitive"),
+            "primitive": primitive,
         }
     return presets
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
-from .curves import Point, PointSet, assert_admissible, symplectic_trace
+from .curves import Point, PointSet, assert_admissible, point_generators, symplectic_trace
 from .field import GF2n
 
 _GLYPHS = {(0, 0): "1", (1, 0): "Z", (0, 1): "X", (1, 1): "Y"}
@@ -102,8 +102,7 @@ def factorization_partition(F: GF2n,
     (1,)(2,)...(n,) means the basis is a product of single-qubit states and
     ((1, ..., n),) means it is fully entangled.
     """
-    mons = commuting_set(F, points)
-    gens = _generator_monomials(F, mons)
+    gens = [monomial(F, *p) for p in point_generators(assert_admissible(F, points))]
     best: Optional[list[list[int]]] = None
     for part in _set_partitions(list(range(F.n))):
         if _partition_valid(gens, part):
@@ -113,18 +112,6 @@ def factorization_partition(F: GF2n,
     blocks = sorted((sorted(q + 1 for q in block) for block in best),
                     key=lambda b: (len(b), b))
     return tuple(tuple(b) for b in blocks)
-
-
-def _generator_monomials(F: GF2n,
-                         mons: Sequence[PauliMonomial]) -> list[PauliMonomial]:
-    """n monomials generating the curve's group (enough for bilinear checks)."""
-    gens: list[PauliMonomial] = []
-    span = {(0, 0)}
-    for m in mons:
-        if m.point not in span:
-            gens.append(m)
-            span |= {(m.alpha ^ a, m.beta ^ b) for a, b in span}
-    return gens
 
 
 def canonical_partition_types(n: int) -> list[tuple[int, ...]]:

@@ -1,11 +1,12 @@
 """Exact dense-matrix verification of MUB atlases built from curves.
 
-Operators are 2^n x 2^n integer matrices over the Gaussian integers
-(stored as separate real and imaginary numpy int64 matrices, though for
-the monomials used here every entry is real and in {0, +1, -1}).  The
-common eigenbasis of a curve's commuting set is computed by exact
-projector splitting over Gaussian rationals, so unbiasedness checks are
-exact equalities of `fractions.Fraction` values, never float comparisons.
+Operators are 2^n x 2^n signed permutation matrices held as numpy int64
+arrays.  Every joint eigenvector of a curve's commuting set is a stabilizer
+state: a Gaussian-integer vector whose squared norm is a power of 2
+(Dehaene & De Moor, PRA 68, 042318, 2003).  Eigenbases are therefore built
+by integer projector splitting on (real, imaginary) int64 matrices, and
+unbiasedness is the integer identity d |<u|v>|^2 == |u|^2 |v|^2, tested on
+whole cross-Gram matrices at once.  No verdict rests on a float.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InputError, NotCommutative
-from .curves import Point, PointSet, all_nonintersecting, assert_admissible
+from .curves import Point, PointSet, all_nonintersecting, assert_admissible, point_generators
 from .field import GF2n
-from .pauli import PauliMonomial, commuting_set, monomial
+from .pauli import monomial
 
 # -- dense operators ---------------------------------------------------------------
 
@@ -91,46 +92,7 @@ def tensor_phase(F: GF2n, alpha: int, beta: int) -> int:
     raise InputError(f"monomial {(alpha, beta)} is not proportional to its tensor form")
 
 
-# -- exact Gaussian-rational vectors -----------------------------------------------
-
-
-GVec = tuple[tuple[Fraction, Fraction], ...]          # (real, imag) per entry
-
-
-def _gv_zero(d: int) -> GVec:
-    return tuple((Fraction(0), Fraction(0)) for _ in range(d))
-
-
-def _gv_basis(d: int, i: int) -> GVec:
-    return tuple((Fraction(1 if j == i else 0), Fraction(0)) for j in range(d))
-
-
-def _gv_add(u: GVec, v: GVec) -> GVec:
-    return tuple((a + c, b + d) for (a, b), (c, d) in zip(u, v))
-
-
-def _gv_scale(u: GVec, re: Fraction, im: Fraction) -> GVec:
-    return tuple((re * a - im * b, re * b + im * a) for a, b in u)
-
-
-def _gv_is_zero(u: GVec) -> bool:
-    return all(a == 0 and b == 0 for a, b in u)
-
-
-def _gv_apply(M: np.ndarray, u: GVec) -> GVec:
-    d = len(u)
-    out = []
-    for r in range(d):
-        re = Fraction(0)
-        im = Fraction(0)
-        row = M[r]
-        for c in range(d):
-            m = int(row[c])
-            if m:
-                re += m * u[c][0]
-                im += m * u[c][1]
-        out.append((re, im))
-    return tuple(out)
+# -- exact stabilizer vectors ------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -158,126 +120,118 @@ class ExactVector:
         return (np.array(self.re) + 1j * np.array(self.im)) * scale
 
 
-def _normalise(u: GVec) -> ExactVector:
-    denom = 1
-    for a, b in u:
-        denom = denom * a.denominator // _gcd(denom, a.denominator)
-        denom = denom * b.denominator // _gcd(denom, b.denominator)
-    re = [int(a * denom) for a, _ in u]
-    im = [int(b * denom) for _, b in u]
-    g = 0
-    for v in itertools.chain(re, im):
-        g = _gcd(g, abs(v))
-    re = [v // g for v in re]
-    im = [v // g for v in im]
-    norm2 = sum(a * a + b * b for a, b in zip(re, im))
-    e = norm2.bit_length() - 1
-    if norm2 != 1 << e:
-        raise InputError(f"eigenvector norm^2 = {norm2} is not a power of 2")
-    return ExactVector(tuple(re), tuple(im), e)
+def _gram(ar: np.ndarray, ai: np.ndarray,
+          br: np.ndarray, bi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of A^dag B for integer column matrices.
 
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    Refuses inputs whose Gram entries g could overflow int64, including the
+    later d * |g|^2 of the unbiasedness test: with entries at most a and b in
+    absolute value, |Re g|, |Im g| <= 2 d a b, so d |g|^2 <= 8 d^3 a^2 b^2.
+    """
+    d = ar.shape[0]
+    a = max(int(np.abs(ar).max()), int(np.abs(ai).max()))
+    b = max(int(np.abs(br).max()), int(np.abs(bi).max()))
+    if 8 * d ** 3 * (a * b) ** 2 >= 1 << 63:
+        raise OverflowError(f"Gram entries of {d}-dimensional vectors could overflow int64")
+    return ar.T @ br + ai.T @ bi, ar.T @ bi - ai.T @ br
 
 
 # -- eigenbasis construction -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MubBasis:
-    """An orthonormal eigenbasis of one curve's commuting monomial set."""
+    """An orthonormal eigenbasis of one curve's commuting monomial set.
+
+    Column k of `re + i im` is the k-th basis vector times 2^(norm_exps[k]/2).
+    """
 
     points: PointSet
-    vectors: tuple[ExactVector, ...]
     # per column: eigenvalue exponent tuple, one i-power per generator monomial
     labels: tuple[tuple[int, ...], ...]
+    re: np.ndarray
+    im: np.ndarray
+    norm_exps: np.ndarray
+
+    @property
+    def vectors(self) -> tuple[ExactVector, ...]:
+        return tuple(ExactVector(tuple(int(x) for x in self.re[:, k]),
+                                 tuple(int(x) for x in self.im[:, k]), int(e))
+                     for k, e in enumerate(self.norm_exps))
 
 
-def eigenbasis(F: GF2n, points: Iterable[Point]) -> MubBasis:
+def eigenbasis(F: GF2n, points: Iterable[Point], *, checked: bool = False) -> MubBasis:
     """Exact common eigenbasis of the curve's nonidentity monomials.
 
-    The basis is built by splitting with one generator monomial at a time:
-    for D with D^2 = I the split is v +- D v, for D^2 = -I it is v -+ i D v.
-    Columns are sorted by their tuple of eigenvalue exponents, so the
-    result is deterministic.
+    The identity is split by one generator monomial at a time: for D with
+    D^2 = I each column v gives v +- D v, for D^2 = -I it gives v -+ i D v.
+    After k generators every column is 2^k P e_j for a joint eigenprojector
+    P and a basis vector e_j, so two columns with the same label are either
+    proportional or supported on disjoint cosets; one column per label and
+    leading row is kept.  Columns are reduced by the gcd of their entries and
+    sorted by their tuple of eigenvalue exponents, so the result is
+    deterministic.  The result is checked exactly: d one-dimensional
+    eigenspaces, power-of-2 norms, orthogonal columns, and each column a
+    joint eigenvector with its label.  `checked=True` skips validating
+    `points` for callers that already ran `assert_admissible` on them.
     """
-    pts = assert_admissible(F, points)
-    gens = _point_generators(pts)
+    pts = frozenset(points) if checked else assert_admissible(F, points)
     d = F.order
-    spaces: list[tuple[tuple[int, ...], list[GVec]]] = [
-        ((), [_gv_basis(d, i) for i in range(d)])]
-    for g in gens:
-        D = dense_monomial(F, *g)
-        sq = monomial_square_sign(F, *g)
-        new_spaces = []
-        for label, vecs in spaces:
-            plus: list[GVec] = []
-            minus: list[GVec] = []
-            for v in vecs:
-                Dv = _gv_apply(D, v)
-                if sq == 1:
-                    # D^2 = I: v + Dv has eigenvalue +1, v - Dv has -1
-                    w_plus = _gv_add(v, Dv)
-                    w_minus = _gv_add(v, _gv_scale(Dv, Fraction(-1), Fraction(0)))
-                else:
-                    # D^2 = -I: v + iDv has eigenvalue -i, v - iDv has +i
-                    w_plus = _gv_add(v, _gv_scale(Dv, Fraction(0), Fraction(1)))
-                    w_minus = _gv_add(v, _gv_scale(Dv, Fraction(0), Fraction(-1)))
-                for w, bucket in ((w_plus, plus), (w_minus, minus)):
-                    if not _gv_is_zero(w):
-                        _append_independent(bucket, w)
-            exps = (0, 2) if sq == 1 else (3, 1)
-            for exp, bucket in zip(exps, (plus, minus)):
-                if bucket:
-                    new_spaces.append((label + (exp,), bucket))
-        spaces = new_spaces
-    columns: list[tuple[tuple[int, ...], ExactVector]] = []
-    for label, vecs in spaces:
-        if len(vecs) != 1:
-            raise NotCommutative(
-                f"common eigenspace of dimension {len(vecs)}; generators do not split fully")
-        columns.append((label, _normalise(vecs[0])))
-    columns.sort(key=lambda c: c[0])
-    _check_orthonormal(columns)
-    return MubBasis(pts, tuple(c[1] for c in columns), tuple(c[0] for c in columns))
+    re = np.eye(d, dtype=np.int64)
+    im = np.zeros((d, d), dtype=np.int64)
+    codes = np.zeros(d, dtype=np.int64)     # labels as base-4 numbers
+    gens = point_generators(pts)
+    dense = [dense_monomial(F, *g) for g in gens]
+    # entries stay within 2^len(gens) = d in absolute value: no int64 overflow
+    for g, D in zip(gens, dense):
+        dre, dim = D @ re, D @ im
+        if monomial_square_sign(F, *g) == 1:
+            # D^2 = I: v + Dv has eigenvalue +1, v - Dv has -1
+            re = np.hstack([re + dre, re - dre])
+            im = np.hstack([im + dim, im - dim])
+            exps = (0, 2)
+        else:
+            # D^2 = -I: v + iDv has eigenvalue -i, v - iDv has +i
+            re = np.hstack([re - dim, re + dim])
+            im = np.hstack([im + dre, im - dre])
+            exps = (3, 1)
+        codes = np.concatenate([4 * codes + exps[0], 4 * codes + exps[1]])
+        re, im, codes = _distinct_columns(re, im, codes)
+    codes, order, dims = np.unique(codes, return_index=True, return_counts=True)
+    if len(codes) != d or dims.max() != 1:
+        raise NotCommutative(f"{len(codes)} common eigenspaces, of dimension up to "
+                             f"{dims.max()}; generators do not split fully")
+    re, im = re[:, order], im[:, order]
+    g = np.gcd.reduce(np.vstack([re, im]), axis=0)
+    re, im = re // g, im // g
+    norm_exps = []
+    for norm2 in (re * re + im * im).sum(axis=0).tolist():
+        e = norm2.bit_length() - 1
+        if norm2 != 1 << e:
+            raise InputError(f"eigenvector norm^2 = {norm2} is not a power of 2")
+        norm_exps.append(e)
+    norm_exps = np.array(norm_exps, dtype=np.int64)
+    gre, gim = _gram(re, im, re, im)
+    if gim.any() or not np.array_equal(gre, np.diag(np.left_shift(1, norm_exps))):
+        raise NotCommutative("eigenbasis columns are not orthogonal")
+    # row j: the exponent e with D_j v = i^e v, per column v
+    labels = (codes >> 2 * np.arange(len(gens) - 1, -1, -1)[:, None]) & 3
+    for D, e in zip(dense, labels):
+        cos, sin = np.array([1, 0, -1, 0])[e], np.array([0, 1, 0, -1])[e]
+        if not (np.array_equal(D @ re, cos * re - sin * im)
+                and np.array_equal(D @ im, sin * re + cos * im)):
+            raise NotCommutative("eigenbasis columns are not joint eigenvectors")
+    return MubBasis(pts, tuple(map(tuple, labels.T.tolist())), re, im, norm_exps)
 
 
-def _point_generators(pts: PointSet) -> list[Point]:
-    gens: list[Point] = []
-    span = {(0, 0)}
-    for p in sorted(pts):
-        if p != (0, 0) and p not in span:
-            gens.append(p)
-            span |= {(p[0] ^ a, p[1] ^ b) for a, b in span}
-    return gens
-
-
-def _append_independent(bucket: list[GVec], w: GVec) -> None:
-    """Gaussian elimination against the bucket; append if independent."""
-    v = list(w)
-    for b in bucket:
-        piv = next(i for i, (a, c) in enumerate(b) if a or c)
-        pr, pi = b[piv]
-        vr, vi = v[piv]
-        if vr == 0 and vi == 0:
-            continue
-        # factor = v[piv] / b[piv]
-        den = pr * pr + pi * pi
-        fr = (vr * pr + vi * pi) / den
-        fi = (vi * pr - vr * pi) / den
-        scaled = _gv_scale(tuple(b), -fr, -fi)
-        v = list(_gv_add(tuple(v), scaled))
-    if not _gv_is_zero(tuple(v)):
-        bucket.append(tuple(v))
-
-
-def _check_orthonormal(columns: Sequence[tuple[tuple[int, ...], ExactVector]]) -> None:
-    for (_, u), (_, v) in itertools.combinations(columns, 2):
-        if u.overlap_sq(v) != 0:
-            raise NotCommutative("eigenbasis columns are not orthogonal")
+def _distinct_columns(re: np.ndarray, im: np.ndarray,
+                      codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drop zero columns and all but the first column per (label, leading row)."""
+    nonzero = (re != 0) | (im != 0)
+    live = np.flatnonzero(nonzero.any(axis=0))
+    key = codes[live] * re.shape[0] + nonzero[:, live].argmax(axis=0)
+    keep = live[np.sort(np.unique(key, return_index=True)[1])]
+    return re[:, keep], im[:, keep], codes[keep]
 
 
 def eigenphase_exponent(F: GF2n, vec: ExactVector, p: Point) -> int:
@@ -303,20 +257,26 @@ def check_trace_orthogonality(F: GF2n,
 
     Tr(D D'^dag) must equal d exactly when the two labels coincide and 0
     otherwise; the returned list holds the violating label pairs (empty on
-    success).  Since the monomials here are real signed permutations,
-    D'^dag = D'^T.
+    success), in the order of `itertools.combinations_with_replacement` over
+    the labels.  Z_alpha X_beta has one nonzero entry per column c, the sign
+    chi((c + beta) alpha) in row c + beta, so monomials with different beta
+    have disjoint supports and trace 0, and within one beta the traces are
+    the integer Gram matrix of the sign vectors.
     """
     d = F.order
-    labelled = [(i, p) for i, c in enumerate(curves)
-                for p in sorted(c) if p != (0, 0)]
-    dense = {p: dense_monomial(F, *p) for _, p in labelled}
+    labelled = [p for c in curves for p in sorted(c) if p != (0, 0)]
+    chi = np.array([[F.character(F.mul(a, x)) for x in F.elements()]
+                    for a in F.elements()], dtype=np.int64)
+    shifts = np.arange(d)
+    by_beta: dict[int, list[int]] = {}
+    for k, (_, beta) in enumerate(labelled):
+        by_beta.setdefault(beta, []).append(k)
     bad = []
-    for (i, p), (j, q) in itertools.combinations_with_replacement(labelled, 2):
-        t = int(np.trace(dense[p] @ dense[q].T))
-        same = (i, p) == (j, q)
-        if t != (d if same else 0):
-            bad.append((p, q))
-    return bad
+    for beta, ks in by_beta.items():
+        signs = chi[[labelled[k][0] for k in ks]][:, shifts ^ beta]
+        wrong = signs @ signs.T != d * np.eye(len(ks), dtype=np.int64)
+        bad += [(ks[r], ks[c]) for r, c in zip(*np.nonzero(np.triu(wrong)))]
+    return [(labelled[a], labelled[b]) for a, b in sorted(bad)]
 
 
 def unbiasedness_overlaps(b1: MubBasis, b2: MubBasis) -> list[Fraction]:
@@ -324,22 +284,24 @@ def unbiasedness_overlaps(b1: MubBasis, b2: MubBasis) -> list[Fraction]:
 
 
 def check_unbiased(F: GF2n, b1: MubBasis, b2: MubBasis) -> bool:
-    """Every cross overlap |<u|v>|^2 must equal exactly 1/2^n."""
-    want = Fraction(1, F.order)
-    return all(o == want for o in unbiasedness_overlaps(b1, b2))
+    """Every cross overlap |<u|v>|^2 must equal exactly 1/2^n, tested as the
+    integer identity d |<u|v>|^2 == |u|^2 |v|^2 = 2^(e_u + e_v)."""
+    re, im = _gram(b1.re, b1.im, b2.re, b2.im)
+    want = np.left_shift(1, b1.norm_exps[:, None] + b2.norm_exps[None, :])
+    return bool(np.array_equal(F.order * (re * re + im * im), want))
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     n: int
     num_bases: int
-    disjoint: bool
+    trace_orthogonal: bool
     unbiased: bool
     failures: tuple[tuple[int, int], ...]   # pairs of basis indices
 
     @property
     def ok(self) -> bool:
-        return self.disjoint and self.unbiased
+        return self.trace_orthogonal and self.unbiased
 
 
 @dataclass(frozen=True)
@@ -372,12 +334,11 @@ def verify_bundle(F: GF2n, curves: Sequence[PointSet]) -> BundleReport:
     commuting_ok = all(commutes(F, a, b)
                        for mons in sets
                        for a, b in itertools.combinations(mons, 2))
-    trace_ok = not check_trace_orthogonality(F, curves)
-    report = verify_atlas(F, curves)
+    report = _atlas_report(F, curves, not check_trace_orthogonality(F, curves))
     table = tuple(tuple(m.label() for m in mons) for mons in sets)
     # transpose: one row per monomial slot, one column per curve
     table = tuple(zip(*table)) if table else ()
-    return BundleReport(F.n, disjoint, commuting_ok, trace_ok,
+    return BundleReport(F.n, disjoint, commuting_ok, report.trace_orthogonal,
                         report.unbiased, bundle_structure(F, curves),
                         tuple(tuple(r) for r in table))
 
@@ -391,20 +352,25 @@ def verify_atlas(F: GF2n, curves: Sequence[PointSet],
     is redundant when that ray is among the curves).
     """
     curves = [assert_admissible(F, c) for c in curves]
-    disjoint = not check_trace_orthogonality(F, curves)
-    bases = [eigenbasis(F, c) for c in curves]
+    return _atlas_report(F, curves, not check_trace_orthogonality(F, curves),
+                         include_computational)
+
+
+def _atlas_report(F: GF2n, curves: Sequence[PointSet], trace_orthogonal: bool,
+                  include_computational: bool = False) -> VerificationReport:
+    """`verify_atlas` for validated curves whose trace check already ran."""
+    bases = [eigenbasis(F, c, checked=True) for c in curves]
     if include_computational:
         d = F.order
-        comp = MubBasis(
-            frozenset((a, 0) for a in F.elements()),
-            tuple(ExactVector(tuple(1 if j == i else 0 for j in range(d)),
-                              (0,) * d, 0) for i in range(d)),
-            tuple((i,) for i in range(d)))
-        bases.append(comp)
+        bases.append(MubBasis(frozenset((a, 0) for a in F.elements()),
+                              tuple((i,) for i in range(d)),
+                              np.eye(d, dtype=np.int64), np.zeros((d, d), dtype=np.int64),
+                              np.zeros(d, dtype=np.int64)))
     failures = []
     for i, j in itertools.combinations(range(len(bases)), 2):
         if bases[i].points == bases[j].points:
             continue
         if not check_unbiased(F, bases[i], bases[j]):
             failures.append((i, j))
-    return VerificationReport(F.n, len(bases), disjoint, not failures, tuple(failures))
+    return VerificationReport(F.n, len(bases), trace_orthogonal, not failures,
+                              tuple(failures))

@@ -229,6 +229,62 @@ class TestVerifyCommand:
         assert payload["structure"] == [3, 0, 6]
         assert len(payload["operator_table"]) == 7
 
+    @pytest.mark.parametrize("argv", [
+        (), ("--strategy", "regular-tail", "--phi", "s")], ids=["rays", "regular-tail"])
+    def test_five_qubits(self, capsys, argv):
+        code, out, _ = run(capsys, "verify", "--n", "5", "--format", "json", *argv)
+        payload = json.loads(out)
+        assert code == 0
+        assert len(payload["curves"]) == 33
+        assert payload["checks"] == {"nonintersecting": True, "commuting_sets": True,
+                                     "trace_orthogonality": True, "unbiasedness": True}
+
+
+class TestMalformedInput:
+    """Malformed input exits 2 with one `error:` line and no traceback."""
+
+    def assert_input_error(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("curve", [
+        "[[0, 0], [1,", "[1, 2]", "[[0, 0], [1, 1, 1]]", "[[0, 0], [99, 1], [5, 5], [102, 4]]"],
+        ids=["bad-json", "not-pairs", "long-pair", "outside-field"])
+    def test_bad_json_curve(self, capsys, curve):
+        self.assert_input_error(capsys, "transform", "--n", "2", "--curve", curve,
+                                "--ops", "x@1")
+
+    def test_bad_op_qubit(self, capsys):
+        self.assert_input_error(capsys, "transform", "--n", "2", "--curve", "b = a",
+                                "--ops", "x@q")
+        with pytest.raises(InputError):
+            cli.parse_ops("x@q")
+
+    def test_missing_seed_file(self, capsys, tmp_path):
+        self.assert_input_error(capsys, "verify", "--n", "2",
+                                "--seed", str(tmp_path / "no-such-seed.json"))
+
+    @pytest.mark.parametrize("text", ["5", "[[0, 0], 5]", "not json"])
+    def test_bad_seed_file(self, capsys, tmp_path, text):
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(text)
+        self.assert_input_error(capsys, "verify", "--n", "2", "--seed", str(seeds))
+
+    @pytest.mark.parametrize("config", [
+        {"3": 5}, {"3": {"modulus": 1011}}, {"3": {"primitive": "s"}}, {"x": {}}, [3]],
+        ids=["entry-not-object", "modulus-not-string", "primitive-not-int",
+             "key-not-degree", "not-object"])
+    def test_bad_field_config(self, capsys, tmp_path, monkeypatch, config):
+        path = tmp_path / "fields.json"
+        path.write_text(json.dumps(config))
+        monkeypatch.setenv(cli.ENV_FIELD_CONFIG, str(path))
+        self.assert_input_error(capsys, "field", "--n", "3")
+
+    def test_missing_field_config(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.ENV_FIELD_CONFIG, str(tmp_path / "no-such-config.json"))
+        self.assert_input_error(capsys, "field", "--n", "3")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mubcurves.errors import InputError
+from mubcurves.errors import InputError, NotCommutative
 from mubcurves import bundles as B
 from mubcurves import curves as C
 from mubcurves import pauli as P
@@ -26,6 +28,9 @@ def s4(k):
 
 def s8(k):
     return F8.sigma_pow(k)
+
+
+ATLASES = {F.n: C.enumerate_curves(F) for F in (F2, F4, F8)}
 
 
 def ray(F, lam=None):
@@ -148,12 +153,62 @@ class TestEigenbasis:
                 if p != (0, 0):
                     assert V.eigenphase_exponent(F8, v, p) in range(4)
 
+    @pytest.mark.parametrize("F", [F2, F4, F8], ids=["n1", "n2", "n3"])
+    def test_atlas_against_exact_oracle(self, F):
+        # oracle: Python-integer eigenphases and overlaps, not the numpy Gram
+        for pts in ATLASES[F.n]:
+            basis = V.eigenbasis(F, pts)
+            gens = C.point_generators(pts)
+            vecs = basis.vectors
+            assert len(vecs) == F.order
+            for v, label in zip(vecs, basis.labels):
+                assert tuple(V.eigenphase_exponent(F, v, g) for g in gens) == label
+                assert sum(a * a + b * b for a, b in zip(v.re, v.im)) == 1 << v.norm_exp
+            for u, v in itertools.combinations(vecs, 2):
+                assert u.overlap_sq(v) == 0
+
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_non_isotropic_subgroup_rejected(self, checked):
+        # an additive subgroup of order 4 whose monomials anticommute
+        pts = frozenset({(0, 0), (1, 2), (2, 1), (3, 3)})
+        assert not C.is_commutative(F4, pts)
+        with pytest.raises(NotCommutative):
+            V.eigenbasis(F4, pts, checked=checked)
+
     def test_labels_sorted_and_distinct(self):
         basis = V.eigenbasis(F4, ray(F4, 1))
         assert list(basis.labels) == sorted(set(basis.labels))
 
 
+def dense_trace_violations(F, curves):
+    """Reference: Tr(D_p D_q^T) of dense matrices for every pair of labels."""
+    labelled = [(i, p) for i, c in enumerate(curves) for p in sorted(c) if p != (0, 0)]
+    dense = {p: V.dense_monomial(F, *p) for _, p in labelled}
+    bad = []
+    for (i, p), (j, q) in itertools.combinations_with_replacement(labelled, 2):
+        t = int(np.trace(dense[p] @ dense[q].T))
+        if t != (F.order if (i, p) == (j, q) else 0):
+            bad.append((p, q))
+    return bad
+
+
 class TestTraceOrthogonality:
+    @pytest.mark.parametrize("F", [F4, F8], ids=["n2", "n3"])
+    def test_grouped_matches_dense_reference(self, F):
+        rng = random.Random(F.n)
+        atlas = ATLASES[F.n]
+        lists = [B.ray_bundle(F).curves, B.ray_bundle(F).curves[:2] * 2]
+        lists += [rng.sample(atlas, rng.randrange(1, F.order + 2)) for _ in range(40)]
+        failing = 0
+        for curves in lists:
+            want = dense_trace_violations(F, curves)
+            assert V.check_trace_orthogonality(F, curves) == want
+            failing += bool(want)
+            # intersecting curves share a nonidentity label: a negative control
+            assert bool(want) == (not C.all_nonintersecting(curves)
+                                  or len(set(curves)) < len(curves))
+        assert 0 < failing < len(lists)
+
     def test_bundle_passes(self):
         assert V.check_trace_orthogonality(F4, B.ray_bundle(F4).curves) == []
 
@@ -173,6 +228,13 @@ class TestUnbiasedness:
             assert V.check_unbiased(F4, b1, b2)
             assert set(V.unbiasedness_overlaps(b1, b2)) == {Fraction(1, 4)}
 
+    def test_gram_refuses_possible_int64_overflow(self):
+        small = np.ones((4, 4), dtype=np.int64)
+        big = small << 20           # 8 d^3 (2^20 * 2^20)^2 >= 2^63 at d = 4
+        assert V._gram(small, small, small, small)[0].tolist() == [[8] * 4] * 4
+        with pytest.raises(OverflowError):
+            V._gram(big, small, big, small)
+
     def test_same_basis_delta_pattern(self):
         b1 = V.eigenbasis(F4, ray(F4, 1))
         got = [u.overlap_sq(v) for u in b1.vectors for v in b1.vectors]
@@ -187,13 +249,27 @@ class TestUnbiasedness:
         # bases share an eigenvector and cannot be unbiased
         rep = V.verify_atlas(
             F4, [ray(F4, 1), C.point_set(F4, C.curve_from_phi(F4, [0, 1]))])
-        assert not rep.disjoint
+        assert not rep.trace_orthogonal
         assert not rep.unbiased and rep.failures == ((0, 1),)
 
     def test_verify_atlas_skips_identical_point_sets(self):
         rep = V.verify_atlas(F4, [ray(F4, 0)], include_computational=True)
         # the computational basis is the beta = 0 eigenbasis: same points
         assert rep.unbiased and rep.failures == ()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([F4, F8]), st.booleans(), st.data())
+def test_pairs_unbiased_exactly_when_disjoint(F, disjoint, data):
+    # intersecting pairs are the negative control: they must fail
+    atlas = ATLASES[F.n]
+    c1 = data.draw(st.sampled_from(atlas))
+    c2 = data.draw(st.sampled_from(
+        [c for c in atlas if c != c1 and C.nonintersecting(c1, c) == disjoint]))
+    b1, b2 = V.eigenbasis(F, c1), V.eigenbasis(F, c2)
+    assert V.check_unbiased(F, b1, b2) == disjoint
+    overlaps = set(V.unbiasedness_overlaps(b1, b2))
+    assert (overlaps == {Fraction(1, F.order)}) == disjoint
 
 
 class TestVerifyBundle:
