@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import EmptyResult, InputError, NotCommutative
 from .curves import (
-    ParametricCurve,
+    Point,
     PointSet,
     all_nonintersecting,
     assert_admissible,
@@ -41,7 +41,7 @@ def make_bundle(F: GF2n, curves: Iterable[PointSet]) -> Bundle:
     cs = sorted({assert_admissible(F, c) for c in curves}, key=sorted)
     if len(cs) != F.order + 1:
         raise InputError(f"a bundle needs {F.order + 1} distinct curves, got {len(cs)}")
-    if not all_nonintersecting(cs):
+    if not all(nonintersecting(p, q) for p, q in itertools.combinations(cs, 2)):
         raise InputError("bundle curves intersect away from the origin")
     covered = sum(len(c) - 1 for c in cs)
     if covered != F.order * F.order - 1:  # pragma: no cover - implied by the above
@@ -112,8 +112,10 @@ def search_bundles(F: GF2n, seed_curves: Optional[Sequence[PointSet]] = None,
                    limit: int = 1) -> list[Bundle]:
     """Backtracking completion of seeds to full bundles over the curve atlas.
 
-    Curves are tried in a fixed lexicographic order, so the output is
-    deterministic.  Raises EmptyResult when no completion exists.
+    A bundle is a maximal clique of the "meets only at the origin" graph on
+    the atlas.  Curves and their adjacency are int bitsets (bit i is atlas
+    curve i), and candidates are tried in ascending atlas order, so the
+    output is deterministic.  Raises EmptyResult when no completion exists.
     """
     if limit < 1:
         raise InputError("limit must be positive")
@@ -122,23 +124,49 @@ def search_bundles(F: GF2n, seed_curves: Optional[Sequence[PointSet]] = None,
     if not all_nonintersecting(seeds):
         raise InputError("seed curves intersect away from the origin")
     need = F.order + 1
+    # through[p]: the curves through the nonzero point p
+    through: dict[Point, int] = {}
+    for i, c in enumerate(atlas):
+        for p in c:
+            through[p] = through.get(p, 0) | 1 << i
+    del through[(0, 0)]
+
+    def meeting(c: PointSet) -> int:
+        """The atlas curves that share a nonzero point with c."""
+        out = 0
+        for p in c:
+            out |= through.get(p, 0)
+        return out
+
+    everything = (1 << len(atlas)) - 1
+    # later[i]: the curves after curve i that meet it only at the origin
+    later = [everything & ~meeting(c) & ~((2 << i) - 1) for i, c in enumerate(atlas)]
+    start = everything
+    for c in seeds:
+        start &= ~meeting(c)
     found: list[Bundle] = []
-
-    def extend(chosen: list[PointSet], start: int) -> bool:
-        if len(chosen) == need:
-            found.append(make_bundle(F, chosen))
-            return len(found) >= limit
-        for i in range(start, len(atlas)):
-            cand = atlas[i]
-            if all(nonintersecting(cand, c) for c in chosen):
-                if extend(chosen + [cand], i + 1):
-                    return True
-        return False
-
-    extend(seeds, 0)
+    for chosen in _completions(atlas, later, need, seeds, start):
+        found.append(make_bundle(F, chosen))
+        if len(found) >= limit:
+            break
     if not found:
         raise EmptyResult("no bundle completes the given seeds")
     return found
+
+
+def _completions(atlas: Sequence[PointSet], later: Sequence[int], need: int,
+                 chosen: list[PointSet], cand: int) -> Iterator[list[PointSet]]:
+    """Each way to complete `chosen` to `need` curves from the candidate
+    bitset `cand`, lowest atlas index first."""
+    if len(chosen) == need:
+        yield chosen
+        return
+    # stop once fewer candidates remain than curves are missing
+    while cand and cand.bit_count() >= need - len(chosen):
+        low = cand & -cand
+        cand ^= low
+        i = low.bit_length() - 1
+        yield from _completions(atlas, later, need, chosen + [atlas[i]], cand & later[i])
 
 
 def orphan_curves(F: GF2n, bundles: Sequence[Bundle]) -> list[PointSet]:

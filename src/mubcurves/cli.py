@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import bundles as B
 from . import curves as C
@@ -33,15 +33,18 @@ def _build_field(args: argparse.Namespace) -> GF2n:
     return make_field(args.n)
 
 
-def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict,
+def _emit(args: argparse.Namespace, text_lines: Callable[[], list[str]],
+          payload: Callable[[], dict],
           tsv_rows: Optional[list[list[str]]] = None) -> None:
+    """Render only what --format asks for: `text_lines` and `payload` are
+    called lazily, and tsv falls back to one text line per row."""
     if args.format == "json":
-        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        out = json.dumps(payload(), indent=2, sort_keys=True) + "\n"
     elif args.format == "tsv":
-        rows = tsv_rows if tsv_rows is not None else [[line] for line in text_lines]
+        rows = tsv_rows if tsv_rows is not None else [[line] for line in text_lines()]
         out = "".join("\t".join(r) + "\n" for r in rows)
     else:
-        out = "".join(line + "\n" for line in text_lines)
+        out = "".join(line + "\n" for line in text_lines())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out)
@@ -221,7 +224,7 @@ def cmd_field(args: argparse.Namespace) -> int:
         "selfdual_basis": list(F.selfdual_basis),
         "jacobi_L1": F.jacobi_L1,
     }
-    _emit(args, lines, payload)
+    _emit(args, lambda: lines, lambda: payload)
     return 0
 
 
@@ -234,10 +237,9 @@ def cmd_curves(args: argparse.Namespace) -> int:
     kinds = [r["kind"] for r in records]
     n_reg = kinds.count("regular")
     n_exc = kinds.count("exceptional")
-    equal_deg = sum(1 for pts, r in zip(atlas, records)
-                    if r["kind"] == "exceptional"
-                    and C.classify_points(F, pts).degeneracy_alpha
-                    == C.classify_points(F, pts).degeneracy_beta)
+    # equal degeneracies 2^(n - rank) on both axes means equal ranks
+    equal_deg = sum(1 for r in records
+                    if r["kind"] == "exceptional" and r["ranks"][0] == r["ranks"][1])
     if n_exc:
         summary = (f"{len(atlas)} curves: {n_reg} regular, "
                    f"{equal_deg} exceptional(2,2), {n_exc - equal_deg} exceptional(mixed)")
@@ -252,8 +254,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
         lines.append(f"  [{r['class']}] {eqn}  partition {r['partition']}")
         tsv.append([r["class"], f"{r['ranks'][0]},{r['ranks'][1]}",
                     r["partition"], eqn, " ".join(r["points"])])
-    payload = {"summary": summary, "curves": records}
-    _emit(args, lines, payload, tsv)
+    _emit(args, lambda: lines, lambda: {"summary": summary, "curves": records}, tsv)
     return 0
 
 
@@ -270,7 +271,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
         f"equation: {eqn}",
         f"partition: {rec['partition']}",
     ]
-    _emit(args, lines, {"input": sorted(pts), "image": sorted(image), **rec})
+    _emit(args, lambda: lines, lambda: {"input": sorted(pts), "image": sorted(image), **rec})
     return 0
 
 
@@ -341,10 +342,11 @@ def cmd_bundle(args: argparse.Namespace) -> int:
     try:
         bundle = _build_bundle(args, F)
     except EmptyResult:
-        _emit(args, ["no bundle found"], {"bundles": []})
+        _emit(args, lambda: ["no bundle found"], lambda: {"bundles": []})
         return 0
     report = V.verify_bundle(F, bundle.curves)
-    _emit(args, _report_lines(F, bundle, report), _report_payload(F, bundle, report))
+    _emit(args, lambda: _report_lines(F, bundle, report),
+          lambda: _report_payload(F, bundle, report))
     return 0 if report.ok else 1
 
 
@@ -357,8 +359,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         bundle = _build_bundle(args, F)
     report = V.verify_bundle(F, bundle.curves)
     verdict = "all checks pass" if report.ok else "verification FAILED"
-    _emit(args, _report_lines(F, bundle, report) + [verdict],
-          _report_payload(F, bundle, report))
+    _emit(args, lambda: _report_lines(F, bundle, report) + [verdict],
+          lambda: _report_payload(F, bundle, report))
     return 0 if report.ok else 1
 
 

@@ -218,3 +218,64 @@ class TestOrphans:
     def test_no_orphans_when_atlas_covered(self):
         all_bundles = B.search_bundles(F4, limit=10 ** 6)
         assert B.orphan_curves(F4, all_bundles) == []
+
+
+def reference_search(F, seeds, limit):
+    """Set-intersection backtracker over the atlas, ascending order: the
+    oracle for the bitset search.  Returns each bundle's curves in the
+    canonical (sorted-points) order."""
+    atlas = C.enumerate_curves(F)
+    nonzero = [c - {(0, 0)} for c in atlas]
+    need = F.order + 1
+    found = []
+
+    def extend(chosen, covered, start):
+        if len(chosen) == need:
+            found.append(tuple(sorted(chosen, key=sorted)))
+            return len(found) >= limit
+        for i in range(start, len(atlas)):
+            if covered.isdisjoint(nonzero[i]):
+                if extend(chosen + [atlas[i]], covered | nonzero[i], i + 1):
+                    return True
+        return False
+
+    extend(list(seeds), frozenset().union(*(c - {(0, 0)} for c in seeds)), 0)
+    return found
+
+
+class TestBitsetSearchOracle:
+    ALL = 10 ** 6
+
+    def assert_matches(self, F, seeds, limit):
+        want = reference_search(F, seeds, limit)
+        if not want:
+            with pytest.raises(EmptyResult):
+                B.search_bundles(F, seeds, limit=limit)
+            return
+        got = [b.curves for b in B.search_bundles(F, seeds, limit=limit)]
+        assert got == want
+
+    @pytest.mark.parametrize("i", range(15))
+    def test_every_gf4_seed(self, i):
+        self.assert_matches(F4, [C.enumerate_curves(F4)[i]], self.ALL)
+
+    @pytest.mark.parametrize("i", range(0, 135, 8))
+    def test_gf8_seeds(self, i):
+        self.assert_matches(F8, [C.enumerate_curves(F8)[i]], self.ALL)
+
+    def test_gf8_seed_pairs(self):
+        atlas = C.enumerate_curves(F8)
+        pairs = [(atlas[i], atlas[j]) for i, j in itertools.combinations(range(0, 135, 17), 2)
+                 if C.nonintersecting(atlas[i], atlas[j])]
+        assert len(pairs) >= 5
+        for pair in pairs:
+            self.assert_matches(F8, list(pair), self.ALL)
+
+    def test_gf8_seeds_without_completion(self):
+        atlas = C.enumerate_curves(F8)
+        self.assert_matches(F8, [atlas[i] for i in (124, 91, 0, 117, 102)], self.ALL)
+
+    @pytest.mark.parametrize("limit", range(1, 6))
+    @pytest.mark.parametrize("F", [F4, F8], ids=["n2", "n3"])
+    def test_unseeded_limits(self, F, limit):
+        self.assert_matches(F, [], limit)

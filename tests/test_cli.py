@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -188,6 +189,14 @@ class TestBundleCommand:
         code, out, _ = run(capsys, "bundle", "--n", "2", "--strategy", "search")
         assert code == 0
         assert "bundle of 5 curves" in out
+
+    def test_search_four_qubits(self, capsys):
+        # sha256 of the stdout of the set-intersection search that the
+        # bitset search replaced (about 90 s there, under 1 s now)
+        code, out, err = run(capsys, "bundle", "--n", "4", "--strategy", "search")
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8e082ed7d52030ea65ad0c0d162e60ff76574ef706ff828537e0c7984e26f32d")
 
     def test_search_no_result(self, capsys, tmp_path):
         atlas = C.enumerate_curves(F8)

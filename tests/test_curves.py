@@ -97,6 +97,81 @@ class TestCommutativity:
                     == C.commutativity_symmetric(F4, phi))
 
 
+def pointwise_fault(F, pts):
+    """Exception the all-pairs definition predicts for a point set: the
+    oracle for the generator-based admissibility check."""
+    if len(pts) != F.order or not C.is_additive_subgroup(pts):
+        return NotAnAdmissibleCurve
+    if not C.is_commutative(F, pts):
+        return NotCommutative
+    return None
+
+
+def subgroup(points):
+    span = {(0, 0)}
+    for a, b in points:
+        span |= {(a ^ x, b ^ y) for x, y in span}
+    return frozenset(span)
+
+
+class TestGeneratorAdmissibility:
+    def assert_agrees(self, F, pts):
+        fault = pointwise_fault(F, pts)
+        assert C.is_admissible(F, pts) == (fault is None)
+        if fault is None:
+            assert C.assert_admissible(F, pts) == pts
+        else:
+            with pytest.raises(fault):
+                C.assert_admissible(F, pts)
+        return fault
+
+    @pytest.mark.parametrize("F", [make_field(1), F4, F8, F16], ids=["n1", "n2", "n3", "n4"])
+    def test_atlas_curves(self, F):
+        for pts in C.enumerate_curves(F)[::1 if F.n < 4 else 9]:
+            assert self.assert_agrees(F, pts) is None
+
+    @pytest.mark.parametrize("F", [F4, F8], ids=["n2", "n3"])
+    def test_one_point_flipped(self, F):
+        plane = [(a, b) for a in F.elements() for b in F.elements()]
+        for pts in C.enumerate_curves(F):
+            p = max(pts)
+            for q in [q for q in plane if q not in pts][:3]:
+                assert self.assert_agrees(F, (pts - {p}) | {q}) is NotAnAdmissibleCurve
+
+    @pytest.mark.parametrize("F", [F4, F8], ids=["n2", "n3"])
+    def test_origin_dropped(self, F):
+        for pts in C.enumerate_curves(F):
+            assert self.assert_agrees(F, pts - {(0, 0)}) is NotAnAdmissibleCurve
+            q = next((a, b) for a in F.elements() for b in F.elements()
+                     if (a, b) not in pts)
+            assert self.assert_agrees(F, (pts - {(0, 0)}) | {q}) is NotAnAdmissibleCurve
+
+    def test_every_gf4_subgroup_of_order_4(self):
+        points = [(a, b) for a in F4.elements() for b in F4.elements() if (a, b) != (0, 0)]
+        groups = {subgroup(g) for g in itertools.combinations(points, 2)}
+        groups = {g for g in groups if len(g) == 4}
+        faults = [self.assert_agrees(F4, g) for g in groups]
+        # 35 subgroups of order 4 in F_2^4, 15 of them Lagrangian
+        assert len(groups) == 35
+        assert faults.count(None) == 15 and faults.count(NotCommutative) == 20
+
+    def test_random_gf8_subgroups_of_order_8(self):
+        rng = random.Random(5)
+        faults = set()
+        for _ in range(300):
+            g = subgroup((rng.randrange(8), rng.randrange(8)) for _ in range(3))
+            if len(g) == 8:
+                faults.add(self.assert_agrees(F8, g))
+        assert faults == {None, NotCommutative}
+
+    def test_random_point_sets(self):
+        rng = random.Random(6)
+        for F in (F4, F8):
+            points = [(a, b) for a in F.elements() for b in F.elements()]
+            for _ in range(300):
+                self.assert_agrees(F, frozenset(rng.sample(points, F.order)))
+
+
 class TestWMatrices:
     def test_worked_example_dets(self):
         assert C.w_det(F8, CURVE_431.alpha_coeffs) == 1
