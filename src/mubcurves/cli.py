@@ -134,7 +134,7 @@ def parse_explicit(F: GF2n, text: str) -> C.PointSet:
                 except ValueError:
                     raise InputError(f"bad exponent in {term!r}") from None
                 m = e.bit_length() - 1
-                if 1 << m != e or m >= F.n:
+                if e < 1 or 1 << m != e or m >= F.n:
                     raise InputError(f"exponent in {term!r} must be 2^m, m < {F.n}")
             else:
                 raise InputError(f"bad term {term!r} in curve spec")
@@ -160,9 +160,11 @@ def parse_curve_arg(F: GF2n, text: str) -> C.PointSet:
 def _curve_from_pairs(F: GF2n, pairs: object) -> C.PointSet:
     """A curve given as a JSON list of [alpha, beta] pairs of field elements."""
     try:
-        pts = frozenset((int(a), int(b)) for a, b in pairs)
+        pts = frozenset((a, b) for a, b in pairs)
     except (TypeError, ValueError):
         raise InputError(f"curve {pairs!r} is not a list of [alpha, beta] pairs") from None
+    if any(type(c) is not int for p in pts for c in p):
+        raise InputError(f"curve {pairs!r} has coordinates that are not integers")
     if any(not (0 <= c < F.order) for p in pts for c in p):
         raise InputError(f"curve {pairs!r} has coordinates outside 0..{F.order - 1}")
     return C.assert_admissible(F, pts)

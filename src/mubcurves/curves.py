@@ -6,12 +6,21 @@ curves are exactly the Lagrangian subgroups of GF(2^n) x GF(2^n) under the
 symplectic trace form tr(alpha beta') + tr(alpha' beta); each one labels a
 maximal set of commuting displacement operators, hence a basis of a
 complete MUB atlas.
+
+Every Lagrangian is fixed by a pair (A, M).  A is its alpha-projection, an
+r-dimensional additive subgroup with basis a_1..a_r, and isotropy forces
+the points over alpha = 0 to be the trace complement T of A.  With dual
+lifts g_i (tr(a_j g_i) = delta_ij) the curve is
+{(a, f_M(a) + t) : a in A, t in T}, f_M(a_j) = sum_i M_ij g_i, for a
+symmetric r x r binary matrix M; so there are prod_k (2^k + 1) of them.
+The curve is regular when alpha or beta projects onto the whole field
+(r = n, or M invertible), and exceptional otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -178,8 +187,17 @@ def _is_ray(F: GF2n, pts: PointSet) -> bool:
                for a, b in pts for lam in F.elements())
 
 
-def _classification(F: GF2n, pts: PointSet, ra: int, rb: int,
-                    da: int, db: int) -> CurveClassification:
+def classify_points(F: GF2n, points: Iterable[Point]) -> CurveClassification:
+    """Regular vs exceptional, with the per-axis ranks and degeneracies.
+
+    The ranks are the dimensions of the two projections.  Regular means at
+    least one of them is the whole field (its parametrising additive map is
+    a bijection); exceptional means both are singular while the curve
+    itself still has 2^n distinct points.
+    """
+    pts = assert_admissible(F, points)
+    ra = len(subgroup_basis({a for a, _ in pts}))
+    rb = len(subgroup_basis({b for _, b in pts}))
     if ra == F.n and rb == F.n:
         variant = "RegularBoth"
     elif ra == F.n:
@@ -191,36 +209,21 @@ def _classification(F: GF2n, pts: PointSet, ra: int, rb: int,
     kind = "exceptional" if variant == "Exceptional" else "regular"
     if kind == "regular" and _is_ray(F, pts):
         variant = "Ray"
-    return CurveClassification(kind, variant, da, db, ra, rb,
+    return CurveClassification(kind, variant, int(ra == F.n), int(rb == F.n), ra, rb,
                                1 << (F.n - ra), 1 << (F.n - rb))
 
 
 def classify(F: GF2n, curve: ParametricCurve) -> CurveClassification:
-    """Regular vs exceptional, with the per-axis ranks and degeneracies.
-
-    Regular means at least one of the parametrising additive maps is a
-    bijection; exceptional means both are singular while the curve itself
-    still has 2^n distinct points.
-    """
-    pts = assert_admissible(F, point_set(F, curve))
+    """`classify_points` of the image, with the ranks cross-checked against
+    the W matrices of the coefficients and their determinants attached."""
+    cls = classify_points(F, point_set(F, curve))
     ra, da = mat_rank_det(F, w_matrix(F, curve.alpha_coeffs))
     rb, db = mat_rank_det(F, w_matrix(F, curve.beta_coeffs))
-    # cross-check the algebraic rank against the geometric projection size
-    n_alpha = len({a for a, _ in pts})
-    n_beta = len({b for _, b in pts})
-    if n_alpha != 1 << ra or n_beta != 1 << rb:
+    if (ra, rb) != (cls.rank_alpha, cls.rank_beta):
         raise InconsistentDegeneracy(
-            f"projection sizes {n_alpha},{n_beta} disagree with ranks {ra},{rb}")
-    return _classification(F, pts, ra, rb, da, db)
-
-
-def classify_points(F: GF2n, points: Iterable[Point]) -> CurveClassification:
-    """Classification straight from the point set (projection dimensions)."""
-    pts = assert_admissible(F, points)
-    ra = len(subgroup_basis({a for a, _ in pts}))
-    rb = len(subgroup_basis({b for _, b in pts}))
-    return _classification(F, pts, ra, rb,
-                           1 if ra == F.n else 0, 1 if rb == F.n else 0)
+            f"projection ranks {cls.rank_alpha},{cls.rank_beta} disagree "
+            f"with W ranks {ra},{rb}")
+    return replace(cls, det_alpha=da, det_beta=db)
 
 
 def is_nonsingular(F: GF2n, curve: ParametricCurve) -> bool:
@@ -247,29 +250,6 @@ def commutativity_symmetric(F: GF2n, phi: Sequence[int]) -> bool:
     return all(phi[j] == F.frobenius(phi[(n - j) % n], j) for j in range(1, n))
 
 
-def explicit_form(F: GF2n, curve: ParametricCurve) -> ExplicitForm:
-    """Solve for phi from the curve's points; needs a nonsingular alpha map."""
-    pts = point_set(F, curve)
-    cls = classify(F, curve)
-    if cls.degeneracy_alpha != 1:
-        raise NoExplicitForm(
-            f"alpha map has degeneracy {cls.degeneracy_alpha}; beta is not a function of alpha")
-    n = F.n
-    beta_of = dict(pts)
-    alphas = subgroup_basis(a for a, _ in pts)
-    rows = [[F.frobenius(a, m) for m in range(n)] for a in alphas]
-    rhs = [beta_of[a] for a in alphas]
-    phi = mat_solve(F, rows, rhs)
-    if phi is None:  # pragma: no cover - full-rank Moore system always solves
-        raise NoExplicitForm("no additive polynomial interpolates beta(alpha)")
-    form = ExplicitForm(tuple(phi))
-    if any(form.eval(F, a) != b for a, b in pts):
-        raise NoExplicitForm("interpolant fails on the curve")  # pragma: no cover
-    if not commutativity_symmetric(F, phi):
-        raise NotCommutative("explicit coefficients violate the symmetry constraint")
-    return form
-
-
 @dataclass(frozen=True)
 class ExplicitCurve:
     """An explicit relation beta = f(alpha) (alpha_form) or alpha = g(beta)
@@ -286,21 +266,26 @@ class ExplicitCurve:
 def explicit_curve(F: GF2n, points: Iterable[Point]) -> ExplicitCurve:
     """Explicit form of a regular curve, preferring beta = f(alpha)."""
     pts = assert_admissible(F, points)
-    for orientation in ("alpha_form", "beta_form"):
-        axis = 0 if orientation == "alpha_form" else 1
+    for orientation, axis in (("alpha_form", 0), ("beta_form", 1)):
         if len({p[axis] for p in pts}) != F.order:
             continue
-        if axis == 1:
-            pts_o = frozenset((b, a) for a, b in pts)
-        else:
-            pts_o = pts
-        beta_of = dict(pts_o)
-        basis = subgroup_basis(beta_of)
-        rows = [[F.frobenius(a, m) for m in range(F.n)] for a in basis]
-        sol = mat_solve(F, rows, [beta_of[a] for a in basis])
+        value_of = dict(pts) if axis == 0 else {b: a for a, b in pts}
+        basis = subgroup_basis(value_of)
+        rows = [[F.frobenius(x, m) for m in range(F.n)] for x in basis]
+        sol = mat_solve(F, rows, [value_of[x] for x in basis])
         if sol is not None:
             return ExplicitCurve(orientation, tuple(sol))
     raise NoExplicitForm("neither coordinate map is invertible; curve is exceptional")
+
+
+def explicit_form(F: GF2n, curve: ParametricCurve) -> ExplicitForm:
+    """The alpha-form of `explicit_curve`; needs a nonsingular alpha map."""
+    ec = explicit_curve(F, point_set(F, curve))
+    if ec.orientation != "alpha_form":
+        raise NoExplicitForm("alpha map is singular; beta is not a function of alpha")
+    if not commutativity_symmetric(F, ec.coeffs):
+        raise NotCommutative("explicit coefficients violate the symmetry constraint")
+    return ExplicitForm(ec.coeffs)
 
 
 def curve_from_phi(F: GF2n, phi: Sequence[int]) -> ParametricCurve:
@@ -312,13 +297,6 @@ def curve_from_phi(F: GF2n, phi: Sequence[int]) -> ParametricCurve:
         raise NotCommutative(f"phi = {tuple(phi)} violates phi_j = phi_(n-j)^(2^j)")
     alpha = tuple([1] + [0] * (n - 1))
     return ParametricCurve(alpha, tuple(phi))
-
-
-def phi_pair_curve(F: GF2n, phi0: int, phi: int) -> ParametricCurve:
-    """n = 3 regular curve beta = phi0*alpha + phi^2*alpha^2 + phi*alpha^4."""
-    if F.n != 3:
-        raise InputError("the (phi0, phi) parametrisation is specific to three qubits")
-    return curve_from_phi(F, (phi0, F.mul(phi, phi), phi))
 
 
 # -- structural equations --------------------------------------------------------
@@ -450,113 +428,69 @@ def atlas_size(n: int) -> int:
     return out
 
 
-def _all_subgroups(F: GF2n, dim: int) -> Iterator[frozenset[int]]:
-    """All additive subgroups of GF(2^n) of the given GF(2)-dimension."""
-    seen = set()
-    for gens in itertools.combinations(range(1, F.order), dim):
-        span = subgroup_span(gens)
-        if len(span) == 1 << dim and span not in seen:
-            seen.add(span)
-            yield span
+def _subspace_bases(n: int, r: int) -> Iterator[tuple[int, ...]]:
+    """One basis of every r-dimensional subspace of GF(2)^n: the rows of
+    its reduced echelon form, each row's leading bit clear in the others."""
+    for pivots in itertools.combinations(range(n), r):
+        free = [sum(1 << b for b in range(p) if b not in pivots) for p in pivots]
+        for rows in itertools.product(*([x for x in range(m + 1) if x & m == x]
+                                        for m in free)):
+            yield tuple(1 << p | x for p, x in zip(pivots, rows))
 
 
 def enumerate_curves(F: GF2n, kind: Optional[str] = None) -> list[PointSet]:
     """Every admissible curve, as canonical point sets, in a fixed sorted order.
 
-    Regular curves are swept directly from their explicit coefficients
-    (phi tuples satisfying the commutativity symmetry, plus the vertical
-    ray alpha = 0).  Exceptional curves are found by completing each
-    proper alpha-projection subgroup A with its trace complement and every
-    admissible additive section A -> GF(2^n)/A_perp.
+    Each curve is built once from its (A, M) parameters (see the module
+    docstring), so none needs an admissibility test or a duplicate check.
+    `kind` keeps only the "regular" or only the "exceptional" curves.
     """
-    curves: set[PointSet] = set()
-    if kind in (None, "regular"):
-        curves.update(enumerate_regular(F))
-    if kind in (None, "exceptional"):
-        curves.update(enumerate_exceptional(F))
-    return sorted(curves, key=lambda s: sorted(s))
+    # one tuple per phase-space point, shared by every curve through it:
+    # half the memory of a tuple per curve and point at n = 4
+    plane = [[(x, y) for y in F.elements()] for x in F.elements()]
+    curves: list[PointSet] = []
+    for r in range(F.n + 1):
+        for basis in _subspace_bases(F.n, r):
+            T = trace_orthogonal_complement(F, basis)
+            # dual lifts g_i: tr(a_j g_i) = delta_ij, read off a table of
+            # the pairing vectors (tr(a_1 x), ..., tr(a_r x))
+            lift: dict[int, int] = {}
+            for x in F.elements():
+                lift.setdefault(sum(F.trace(F.mul(a, x)) << j
+                                    for j, a in enumerate(basis)), x)
+            g = [lift[1 << i] for i in range(r)]
+            # (f_M(a_1), ..., f_M(a_r)) for every symmetric M, doubling the
+            # list once per entry pair M_ij = M_ji
+            images = [(0,) * r]
+            for i in range(r):
+                for j in range(i, r):
+                    step = [0] * r
+                    step[j] = g[i]
+                    step[i] = g[j]
+                    images += [tuple(x ^ y for x, y in zip(f, step)) for f in images]
+            fibre = [plane[0][t] for t in T]
+            for f in images:
+                pts = fibre
+                for a, fa in zip(basis, f):
+                    pts = pts + [plane[x ^ a][y ^ fa] for x, y in pts]
+                curve = frozenset(pts)
+                if kind is None or kind == _kind(F, r, curve):
+                    curves.append(curve)
+    return sorted(curves, key=sorted)
+
+
+def _kind(F: GF2n, r: int, pts: PointSet) -> str:
+    """Regular when alpha (dimension r) or beta projects onto the field."""
+    regular = r == F.n or len({b for _, b in pts}) == F.order
+    return "regular" if regular else "exceptional"
 
 
 def enumerate_regular(F: GF2n) -> list[PointSet]:
-    """All curves with a nonsingular axis map.
-
-    Every such curve is either the vertical ray alpha = 0 or has
-    nonsingular alpha map, i.e. is beta = sum phi_m alpha^(2^m) for a
-    symmetric phi; the tail phi_1..phi_{n-1} is determined by its first
-    half, with the middle coefficient (even n) confined to the subfield
-    GF(2^(n/2)).
-    """
-    n = F.n
-    curves: set[PointSet] = {frozenset((0, b) for b in F.elements())}
-    free = list(range(1, (n + 1) // 2))
-    mid = [n // 2] if n % 2 == 0 and n > 1 else []
-    for choice in itertools.product(F.elements(), repeat=1 + len(free) + len(mid)):
-        phi = [0] * n
-        phi[0] = choice[0]
-        for val, j in zip(choice[1:], free):
-            phi[j] = val
-            phi[n - j] = F.frobenius(val, n - j)
-        if mid:
-            m = mid[0]
-            val = choice[-1]
-            if F.frobenius(val, m) != val:
-                continue
-            phi[m] = val
-        pts = point_set(F, curve_from_phi(F, phi))
-        curves.add(pts)
-        # mirrored family alpha = g(beta), for singular alpha / nonsingular beta
-        curves.add(frozenset((b, a) for a, b in pts))
-    return sorted(curves, key=lambda s: sorted(s))
+    return enumerate_curves(F, "regular")
 
 
 def enumerate_exceptional(F: GF2n) -> list[PointSet]:
-    curves: set[PointSet] = set()
-    n = F.n
-    for r in range(1, n):
-        for A in _all_subgroups(F, r):
-            basisA = subgroup_basis(A)
-            T = trace_orthogonal_complement(F, A)
-            reps = _coset_reps(F, T)
-            for images in itertools.product(reps, repeat=r):
-                pts = _section_curve(F, basisA, images, T)
-                if pts is not None:
-                    curves.add(pts)
-    return sorted(curves, key=lambda s: sorted(s))
-
-
-def _coset_reps(F: GF2n, T: frozenset[int]) -> list[int]:
-    reps, seen = [], set()
-    for x in F.elements():
-        if x not in seen:
-            reps.append(x)
-            seen |= {x ^ t for t in T}
-    return reps
-
-
-def _section_curve(F: GF2n, basisA: Sequence[int], images: Sequence[int],
-                   T: frozenset[int]) -> Optional[PointSet]:
-    """Curve {(a, f(a) + t)} for the additive section with f(basisA) = images,
-    if symmetric, genuinely exceptional, and admissible."""
-    r = len(basisA)
-    f = {0: 0}
-    for bits in range(1, 1 << r):
-        a = fa = 0
-        for k in range(r):
-            if bits >> k & 1:
-                a ^= basisA[k]
-                fa ^= images[k]
-        f[a] = fa
-    # symmetry of the section: tr(a f(a')) = tr(a' f(a))
-    for i in range(r):
-        for j in range(i + 1, r):
-            if (F.trace(F.mul(basisA[i], images[j]))
-                    != F.trace(F.mul(basisA[j], images[i]))):
-                return None
-    beta_span = subgroup_span(list(images) + list(subgroup_basis(T)))
-    if len(beta_span) == F.order:
-        return None  # beta map is onto, so the curve is regular
-    pts = frozenset((a, fa ^ t) for a, fa in f.items() for t in T)
-    return pts if is_admissible(F, pts) else None
+    return enumerate_curves(F, "exceptional")
 
 
 def nonintersecting(c1: PointSet, c2: PointSet) -> bool:

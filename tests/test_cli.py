@@ -122,7 +122,7 @@ class TestCurveParsing:
         assert pts == frozenset({(0, 0), (1, 1), (2, 2), (3, 3)})
 
     @pytest.mark.parametrize("bad", [
-        "b is a", "c = a", "b = a^3", "b = q*a", "b = a^2 / 2"])
+        "b is a", "c = a", "b = a^3", "b = q*a", "b = a^2 / 2", "b = a^0"])
     def test_bad_specs(self, bad):
         with pytest.raises(InputError):
             cli.parse_explicit(F4, bad)
@@ -264,6 +264,28 @@ class TestMalformedInput:
         self.assert_input_error(capsys, "transform", "--n", "2", "--curve", curve,
                                 "--ops", "x@1")
 
+    @pytest.mark.parametrize("curve", [
+        "[[1e400, 0]]", "[[Infinity, 0]]", "[[0.5, 0]]", "[[true, 0]]",
+        "[[0.0, 0], [1, 1], [2, 2], [3, 3]]", "[[false, false], [true, true], [2, 2], [3, 3]]"],
+        ids=["overflow", "infinity", "fraction", "bool", "float-curve", "bool-curve"])
+    def test_non_integer_json_coordinates(self, capsys, tmp_path, curve):
+        self.assert_input_error(capsys, "transform", "--n", "2", "--curve", curve,
+                                "--ops", "x@1")
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(f'[{curve}, "b = a", "b = s*a", "b = s^2*a", "a = 0"]')
+        self.assert_input_error(capsys, "verify", "--n", "2", "--seed", str(seeds))
+
+    @pytest.mark.parametrize("exponent", ["0", "-0", "-1"])
+    def test_exponent_below_one(self, capsys, tmp_path, exponent):
+        curve = f"b = a^{exponent}"
+        self.assert_input_error(capsys, "transform", "--n", "2", "--curve", curve,
+                                "--ops", "x@1")
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(json.dumps([curve, "b = s*a", "b = s^2*a"]))
+        self.assert_input_error(capsys, "verify", "--n", "2", "--seed", str(seeds))
+        self.assert_input_error(capsys, "bundle", "--n", "2", "--strategy", "closure",
+                                "--seed", str(seeds))
+
     def test_bad_op_qubit(self, capsys):
         self.assert_input_error(capsys, "transform", "--n", "2", "--curve", "b = a",
                                 "--ops", "x@q")
@@ -293,6 +315,33 @@ class TestMalformedInput:
     def test_missing_field_config(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_FIELD_CONFIG, str(tmp_path / "no-such-config.json"))
         self.assert_input_error(capsys, "field", "--n", "3")
+
+
+class TestGoldenOutputs:
+    """sha256 of the stdout of `mubc curves`, captured before the atlas
+    enumerator was rewritten; they pin the curves, their order and every
+    rendered record."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        (("--n", "1"), "faf8fff1be31dce756b411d5d9a364893246bb1d2529dd5eaccf2a84581a84a3"),
+        (("--n", "2"), "8bd32d88cc02d02a5e1ca5b301231297b5470154edf7e6561006ffd7e7e035d3"),
+        (("--n", "3"), "c68628467f2d3740ee7fae72559144932b70f075825e5ef9c62073d806250645"),
+        (("--n", "3", "--modulus", "1011"),
+         "b30564d33bb7f82f186ec054f990ace9e8a0a32d50253dab0875a4ba906cf90c"),
+        (("--n", "3", "--format", "json"),
+         "29d54190e1c4000b34a2ebd913f7361cb35d2148a26de1ba6290b9d2ed3407b8"),
+        (("--n", "3", "--format", "tsv"),
+         "78869d23b83921a93a76eca2f39854220cd2c5f027a919c802f850322dba70f5"),
+        (("--n", "4"), "7981a62a8855106a48ec41d5c79cd45047e25d6a7adc428b8281d66cc4c63e0a"),
+        (("--n", "4", "--modulus", "11001"),
+         "7981a62a8855106a48ec41d5c79cd45047e25d6a7adc428b8281d66cc4c63e0a"),
+        (("--n", "4", "--modulus", "10011"),
+         "7fe1bc75e4c770596a3ed29d6655ec7ed69fb03eb8602f86e9629c445823b613"),
+    ], ids=["n1", "n2", "n3", "n3-1011", "n3-json", "n3-tsv", "n4", "n4-11001", "n4-10011"])
+    def test_curves(self, capsys, argv, digest):
+        code, out, err = run(capsys, "curves", *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDeterminism:

@@ -17,7 +17,7 @@ from mubcurves.errors import (
     NotCommutative,
 )
 from mubcurves import curves as C
-from mubcurves.field import make_field, subgroup_basis
+from mubcurves.field import make_field, modulus_from_bits, subgroup_basis
 
 F4 = make_field(2)
 F8 = make_field(3)
@@ -232,6 +232,23 @@ class TestClassification:
         with pytest.raises(NotCommutative):
             C.classify(F4, C.ParametricCurve((1, 0), (0, 2)))
 
+    def test_classify_agrees_with_points(self):
+        # the W-matrix ranks and determinants match the projections
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(400):
+            curve = C.ParametricCurve(tuple(rng.randrange(8) for _ in range(3)),
+                                      tuple(rng.randrange(8) for _ in range(3)))
+            pts = C.point_set(F8, curve)
+            if not C.is_admissible(F8, pts):
+                continue
+            cls = C.classify(F8, curve)
+            assert cls == C.classify_points(F8, pts)
+            assert (cls.det_alpha, cls.det_beta) == (
+                C.w_det(F8, curve.alpha_coeffs), C.w_det(F8, curve.beta_coeffs))
+            seen.add(cls.variant)
+        assert {"RegularBoth", "RegularAlphaOnly", "RegularBetaOnly"} <= seen
+
     def test_exceptional_rank_bound(self):
         # r_alpha + r_beta >= n over the full atlases
         for F in (F4, F8):
@@ -251,6 +268,22 @@ class TestExplicitForms:
         lam = s8(4)
         ray = C.ParametricCurve((1, 0, 0), (lam, 0, 0))
         assert C.explicit_form(F8, ray).phi == (lam, 0, 0)
+
+    def test_explicit_form_is_the_alpha_form(self):
+        for pts in C.enumerate_curves(F8):
+            if len({a for a, _ in pts}) == F8.order:
+                phi = C.explicit_curve(F8, pts).coeffs
+                assert C.explicit_form(F8, C.curve_from_phi(F8, phi)).phi == phi
+
+    def test_explicit_form_needs_alpha_map(self):
+        vertical = C.ParametricCurve((0, 0, 0), (1, 0, 0))
+        assert C.explicit_curve(F8, C.point_set(F8, vertical)).orientation == "beta_form"
+        with pytest.raises(NoExplicitForm):
+            C.explicit_form(F8, vertical)
+        with pytest.raises(NoExplicitForm):
+            C.explicit_form(F4, C.ParametricCurve((1, 1), (2, 3)))  # exceptional
+        with pytest.raises(NotCommutative):
+            C.explicit_form(F4, C.ParametricCurve((1, 0), (0, 2)))
 
     def test_exceptional_has_no_explicit_form(self):
         pts = C.exceptional_equal(F4, [F4.primitive])
@@ -385,6 +418,91 @@ class TestEnumeration:
 
     def test_enumeration_is_deterministic(self):
         assert C.enumerate_curves(F8) == C.enumerate_curves(F8)
+
+
+def selfdual_subspaces(F):
+    """Every n-dimensional subspace of F_2^{2n}, as phase-space point sets,
+    each tagged with whether it is isotropic.
+
+    A vector (u, v) of two n-bit coordinate vectors is the point
+    (sum u_k theta_k, sum v_k theta_k) in the selfdual basis theta, where
+    the trace form tr(a b') + tr(a' b) is the standard symplectic form
+    u.v' + u'.v; so isotropy is a parity of bit counts, and nothing here
+    uses the curve engine or the field's trace.
+    """
+    n, mask = F.n, (1 << F.n) - 1
+
+    def element(bits):
+        out = 0
+        for k, theta in enumerate(F.selfdual_basis):
+            if bits >> k & 1:
+                out ^= theta
+        return out
+
+    def form(w, z):
+        return ((w & mask & (z >> n)).bit_count() + ((w >> n) & z & mask).bit_count()) & 1
+
+    spaces = set()
+    for gens in itertools.combinations(range(1, 1 << 2 * n), n):
+        span = {0}
+        for g in gens:
+            span |= {g ^ s for s in span}
+        if len(span) == 1 << n:
+            spaces.add(frozenset(span))
+    for space in spaces:
+        isotropic = all(form(w, z) == 0 for w in space for z in space)
+        yield frozenset((element(w & mask), element(w >> n)) for w in space), isotropic
+
+
+def gaussian_binomial(n, r):
+    num = den = 1
+    for i in range(r):
+        num *= (1 << n) - (1 << i)
+        den *= (1 << r) - (1 << i)
+    return num // den
+
+
+class TestEnumerationOracle:
+    """The (A, M) enumerator against a brute-force sweep of F_2^{2n}."""
+
+    @pytest.mark.parametrize(
+        "F", [make_field(1), F4, F8, make_field(3, modulus_from_bits("1011"))],
+        ids=["n1", "n2", "n3", "n3-1011"])
+    def test_isotropic_subspaces_are_the_atlas(self, F):
+        lagrangians, others = set(), []
+        for pts, isotropic in selfdual_subspaces(F):
+            if isotropic:
+                lagrangians.add(pts)
+            else:
+                others.append(pts)
+        atlas = C.enumerate_curves(F)
+        assert len(atlas) == len(set(atlas)) == C.atlas_size(F.n)
+        assert set(atlas) == lagrangians
+        assert gaussian_binomial(2 * F.n, F.n) == len(lagrangians) + len(others)
+        # negative control: no subspace off the atlas passes the check (at
+        # n = 1 every line is isotropic, so there is none)
+        assert len(others) > 0 or F.n == 1
+        assert not any(C.is_admissible(F, pts) for pts in others)
+
+    @pytest.mark.parametrize(
+        "F", [F16, make_field(4, modulus_from_bits("10011")), make_field(5)],
+        ids=["n4", "n4-10011", "n5"])
+    def test_count_per_alpha_rank(self, F):
+        atlas = C.enumerate_curves(F)
+        ranks = [len({a for a, _ in pts}).bit_length() - 1 for pts in atlas]
+        for r in range(F.n + 1):
+            assert ranks.count(r) == gaussian_binomial(F.n, r) << (r * (r + 1) // 2)
+        assert len(atlas) == C.atlas_size(F.n)
+        assert all(C.is_admissible(F, pts) for pts in atlas[::97])
+
+    @pytest.mark.parametrize("F", [F4, F8, F16], ids=["n2", "n3", "n4"])
+    def test_kind_filter(self, F):
+        atlas = C.enumerate_curves(F)
+        regular = C.enumerate_regular(F)
+        exceptional = C.enumerate_exceptional(F)
+        assert sorted(regular + exceptional, key=sorted) == atlas
+        assert all(C.classify_points(F, p).kind == "regular" for p in regular)
+        assert all(C.classify_points(F, p).kind == "exceptional" for p in exceptional)
 
 
 class TestNonintersection:
