@@ -13,6 +13,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import EmptyResult, InputError, NotCommutative
 from .curves import (
+    Curve,
     Point,
     PointSet,
     all_nonintersecting,
@@ -30,7 +31,7 @@ from .field import GF2n
 class Bundle:
     """2^n + 1 pairwise nonintersecting admissible curves, sorted canonically."""
 
-    curves: tuple[PointSet, ...]
+    curves: tuple[Curve, ...]
 
     def __len__(self) -> int:
         return len(self.curves)
@@ -145,8 +146,9 @@ def search_bundles(F: GF2n, seed_curves: Optional[Sequence[PointSet]] = None,
     for c in seeds:
         start &= ~meeting(c)
     found: list[Bundle] = []
-    for chosen in _completions(atlas, later, need, seeds, start):
-        found.append(make_bundle(F, chosen))
+    for chosen in _completions(later, need, [atlas.index(c) for c in seeds], start):
+        # the atlas is in canonical order, so sorted indices give a canonical bundle
+        found.append(Bundle(tuple(atlas[i] for i in sorted(chosen))))
         if len(found) >= limit:
             break
     if not found:
@@ -154,10 +156,10 @@ def search_bundles(F: GF2n, seed_curves: Optional[Sequence[PointSet]] = None,
     return found
 
 
-def _completions(atlas: Sequence[PointSet], later: Sequence[int], need: int,
-                 chosen: list[PointSet], cand: int) -> Iterator[list[PointSet]]:
-    """Each way to complete `chosen` to `need` curves from the candidate
-    bitset `cand`, lowest atlas index first."""
+def _completions(later: Sequence[int], need: int, chosen: list[int],
+                 cand: int) -> Iterator[list[int]]:
+    """Each way to complete the atlas indices `chosen` to `need` curves from
+    the candidate bitset `cand`, lowest atlas index first."""
     if len(chosen) == need:
         yield chosen
         return
@@ -166,10 +168,10 @@ def _completions(atlas: Sequence[PointSet], later: Sequence[int], need: int,
         low = cand & -cand
         cand ^= low
         i = low.bit_length() - 1
-        yield from _completions(atlas, later, need, chosen + [atlas[i]], cand & later[i])
+        yield from _completions(later, need, chosen + [i], cand & later[i])
 
 
-def orphan_curves(F: GF2n, bundles: Sequence[Bundle]) -> list[PointSet]:
+def orphan_curves(F: GF2n, bundles: Sequence[Bundle]) -> list[Curve]:
     """Curves of the atlas not covered by any of the given bundles."""
     covered = {c for b in bundles for c in b.curves}
     return [c for c in enumerate_curves(F) if c not in covered]

@@ -46,8 +46,11 @@ def _emit(args: argparse.Namespace, text_lines: Callable[[], list[str]],
     else:
         out = "".join(line + "\n" for line in text_lines())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out!r}: {exc}") from None
     else:
         sys.stdout.write(out)
 
@@ -151,7 +154,7 @@ def parse_curve_arg(F: GF2n, text: str) -> C.PointSet:
     if text.startswith("["):
         try:
             pairs = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"bad JSON curve {text!r}: {exc}") from None
         return _curve_from_pairs(F, pairs)
     return parse_explicit(F, text)
@@ -193,7 +196,7 @@ def load_seed_curves(F: GF2n, path: str) -> list[C.PointSet]:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read seed file {path!r}: {exc}") from None
     if not isinstance(raw, list):
         raise InputError(f"seed file {path!r} must hold a JSON list of curves")
@@ -230,10 +233,15 @@ def cmd_field(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_curves(args: argparse.Namespace) -> int:
-    F = _build_field(args)
+def _require_enumerable(F: GF2n) -> None:
+    """Enumeration and search grow exponentially in n: refuse n > 4."""
     if F.n > 4:
         raise InputError("curve enumeration supported for n <= 4")
+
+
+def cmd_curves(args: argparse.Namespace) -> int:
+    F = _build_field(args)
+    _require_enumerable(F)
     atlas = C.enumerate_curves(F)
     records = [curve_record(F, pts) for pts in atlas]
     kinds = [r["kind"] for r in records]
@@ -242,13 +250,10 @@ def cmd_curves(args: argparse.Namespace) -> int:
     # equal degeneracies 2^(n - rank) on both axes means equal ranks
     equal_deg = sum(1 for r in records
                     if r["kind"] == "exceptional" and r["ranks"][0] == r["ranks"][1])
-    if n_exc:
+    summary = f"{len(atlas)} curves: {n_reg} regular, {n_exc} exceptional"
+    if n_exc and F.n != 2:
         summary = (f"{len(atlas)} curves: {n_reg} regular, "
                    f"{equal_deg} exceptional(2,2), {n_exc - equal_deg} exceptional(mixed)")
-        if F.n == 2:
-            summary = f"{len(atlas)} curves: {n_reg} regular, {n_exc} exceptional"
-    else:
-        summary = f"{len(atlas)} curves: {n_reg} regular, {n_exc} exceptional"
     lines = [summary]
     tsv = [["class", "ranks", "partition", "equation", "points"]]
     for r in records:
@@ -297,6 +302,7 @@ def _build_bundle(args: argparse.Namespace, F: GF2n) -> B.Bundle:
         coeffs = [C.explicit_curve(F, s).coeffs for s in seeds]
         return B.closure_bundle(F, coeffs)
     if args.strategy == "search":
+        _require_enumerable(F)
         seeds = load_seed_curves(F, args.seed) if args.seed else None
         return B.search_bundles(F, seeds, limit=1)[0]
     raise InputError(f"unknown strategy {args.strategy!r}")

@@ -107,49 +107,56 @@ def is_commutative(F: GF2n, points: Iterable[Point]) -> bool:
                for p, q in itertools.combinations(pts, 2))
 
 
-def point_generators(pts: PointSet) -> list[Point]:
-    """Generators of an additive subgroup: greedily, in sorted point order.
-
-    Every point lies in the span of the result, and the span has
-    2^len(result) points; so a set of 2^k points is a subgroup exactly
-    when it has k generators.
-    """
-    gens: list[Point] = []
-    span = {(0, 0)}
-    for p in sorted(pts):
-        if p not in span:
-            gens.append(p)
-            span |= {(p[0] ^ a, p[1] ^ b) for a, b in span}
-    return gens
+def point_generators(F: GF2n, pts: Iterable[Point]) -> list[Point]:
+    """`subgroup_basis` of the points packed as a << n | b: generators chosen
+    greedily in sorted point order.  A set of 2^k points is a subgroup
+    exactly when it has k generators."""
+    low = F.order - 1
+    return [(g >> F.n, g & low) for g in subgroup_basis(a << F.n | b for a, b in pts)]
 
 
-def _subgroup_generators(F: GF2n, pts: PointSet) -> Optional[list[Point]]:
-    """n generators when the points form an additive subgroup of order 2^n."""
-    if len(pts) != F.order:
-        return None
-    gens = point_generators(pts)
-    return gens if len(gens) == F.n else None
+class Curve(frozenset):
+    """The point set of an admissible curve, validated once for `field` by
+    `assert_admissible` or built admissible by `enumerate_curves`.  Set
+    operations on a Curve give plain frozensets, which are checked afresh."""
+
+    __slots__ = ("field",)
+
+
+def _trusted(F: GF2n, points: Iterable[Point]) -> Curve:
+    """A Curve for F without any check: for points admissible by construction."""
+    curve = Curve(points)
+    curve.field = F
+    return curve
 
 
 def is_admissible(F: GF2n, points: Iterable[Point]) -> bool:
     """A Lagrangian subgroup: additive, isotropic, of full size 2^n.
+    Always decided from the points, even for a validated Curve."""
+    try:
+        return bool(assert_admissible(F, frozenset(points)))
+    except (NotAnAdmissibleCurve, NotCommutative):
+        return False
 
-    O(d n): isotropy is checked on generator pairs only, which suffices
-    because the trace form is bilinear and alternating.
+
+def assert_admissible(F: GF2n, points: Iterable[Point]) -> Curve:
+    """The points as a Curve for F; a Curve validated for F is returned as is.
+
+    O(d n): 2^n field points spanned by n generators, isotropic on generator
+    pairs, which suffices because the trace form is bilinear and alternating.
     """
-    gens = _subgroup_generators(F, frozenset(points))
-    return gens is not None and is_commutative(F, gens)
-
-
-def assert_admissible(F: GF2n, points: Iterable[Point]) -> PointSet:
+    if isinstance(points, Curve) and getattr(points, "field", None) == F:
+        return points
     pts = frozenset(points)
-    gens = _subgroup_generators(F, pts)
-    if gens is None:
+    d = F.order
+    in_field = len(pts) == d and all(0 <= a < d and 0 <= b < d for a, b in pts)
+    gens = point_generators(F, pts) if in_field else []
+    if len(gens) != F.n:
         raise NotAnAdmissibleCurve(
             f"point set of size {len(pts)} is not an additive subgroup of order {F.order}")
     if not is_commutative(F, gens):
         raise NotCommutative("point set is not isotropic under the symplectic trace form")
-    return pts
+    return _trusted(F, pts)
 
 
 # -- W matrices, rank and degeneracy -------------------------------------------
@@ -370,7 +377,7 @@ def structural_equations(
 # -- exceptional-curve constructors ----------------------------------------------
 
 
-def exceptional_equal(F: GF2n, roots: Sequence[int]) -> PointSet:
+def exceptional_equal(F: GF2n, roots: Sequence[int]) -> Curve:
     """Doubly degenerate curve (both degeneracies 2) from a basis of the
     alpha-projection subgroup.
 
@@ -398,7 +405,7 @@ def exceptional_equal(F: GF2n, roots: Sequence[int]) -> PointSet:
 
 
 def exceptional_unequal(F: GF2n, roots: Sequence[int],
-                        swap: bool = False) -> PointSet:
+                        swap: bool = False) -> Curve:
     """Product curve A x A_perp with dim A + dim A_perp = n (both < n).
 
     `swap` exchanges the roles of the two axes.
@@ -438,8 +445,8 @@ def _subspace_bases(n: int, r: int) -> Iterator[tuple[int, ...]]:
             yield tuple(1 << p | x for p, x in zip(pivots, rows))
 
 
-def enumerate_curves(F: GF2n, kind: Optional[str] = None) -> list[PointSet]:
-    """Every admissible curve, as canonical point sets, in a fixed sorted order.
+def enumerate_curves(F: GF2n, kind: Optional[str] = None) -> list[Curve]:
+    """Every admissible curve, as Curves, in a fixed sorted order.
 
     Each curve is built once from its (A, M) parameters (see the module
     docstring), so none needs an admissibility test or a duplicate check.
@@ -448,7 +455,7 @@ def enumerate_curves(F: GF2n, kind: Optional[str] = None) -> list[PointSet]:
     # one tuple per phase-space point, shared by every curve through it:
     # half the memory of a tuple per curve and point at n = 4
     plane = [[(x, y) for y in F.elements()] for x in F.elements()]
-    curves: list[PointSet] = []
+    curves: list[Curve] = []
     for r in range(F.n + 1):
         for basis in _subspace_bases(F.n, r):
             T = trace_orthogonal_complement(F, basis)
@@ -473,7 +480,7 @@ def enumerate_curves(F: GF2n, kind: Optional[str] = None) -> list[PointSet]:
                 pts = fibre
                 for a, fa in zip(basis, f):
                     pts = pts + [plane[x ^ a][y ^ fa] for x, y in pts]
-                curve = frozenset(pts)
+                curve = _trusted(F, pts)
                 if kind is None or kind == _kind(F, r, curve):
                     curves.append(curve)
     return sorted(curves, key=sorted)
@@ -485,11 +492,11 @@ def _kind(F: GF2n, r: int, pts: PointSet) -> str:
     return "regular" if regular else "exceptional"
 
 
-def enumerate_regular(F: GF2n) -> list[PointSet]:
+def enumerate_regular(F: GF2n) -> list[Curve]:
     return enumerate_curves(F, "regular")
 
 
-def enumerate_exceptional(F: GF2n) -> list[PointSet]:
+def enumerate_exceptional(F: GF2n) -> list[Curve]:
     return enumerate_curves(F, "exceptional")
 
 

@@ -204,41 +204,25 @@ class GF2n:
 
     # -- bases and coordinates -----------------------------------------------
 
-    def _independent(self, basis: Sequence[int]) -> bool:
-        span = {0}
-        for b in basis:
-            if b in span:
-                return False
-            span |= {b ^ s for s in span}
-        return len(span) == 1 << len(basis)
-
     def dual_basis(self, basis: Sequence[int]) -> tuple[int, ...]:
         """The basis {theta'_l} with tr(theta_k theta'_l) = delta_{k,l}."""
-        if len(basis) != self.n or not self._independent(basis):
+        if len(basis) != self.n or len(subgroup_basis(basis)) != self.n:
             raise SingularBasis(f"{basis} is not a basis of GF(2^{self.n})")
-        dual = []
-        for l in range(self.n):
-            want = [1 if k == l else 0 for k in range(self.n)]
-            for cand in self.elements():
-                if [self.trace(self.mul(b, cand)) for b in basis] == want:
-                    dual.append(cand)
-                    break
-            else:  # pragma: no cover - dual always exists for a basis
-                raise SingularBasis("dual element not found")
-        return tuple(dual)
+        # for a basis, x |-> (tr(theta_1 x), ..., tr(theta_n x)) is a bijection
+        pairing = {sum(self.trace(self.mul(b, x)) << k for k, b in enumerate(basis)): x
+                   for x in self.elements()}
+        return tuple(pairing[1 << l] for l in range(self.n))
 
     def coords(self, a: int, basis: Optional[Sequence[int]] = None) -> tuple[int, ...]:
         """Coordinates of `a` in `basis` (selfdual basis by default)."""
-        if basis is None:
-            return tuple(self.trace(self.mul(a, t)) for t in self.selfdual_basis)
-        dual = self.dual_basis(basis)
+        dual = self.selfdual_basis if basis is None else self.dual_basis(basis)
         return tuple(self.trace(self.mul(a, t)) for t in dual)
 
     def from_coords(self, bits: Sequence[int],
                     basis: Optional[Sequence[int]] = None) -> int:
         if basis is None:
             basis = self.selfdual_basis
-        elif not self._independent(basis):
+        elif len(subgroup_basis(basis)) != len(basis):
             raise SingularBasis(f"{basis} is not a basis of GF(2^{self.n})")
         a = 0
         for bit, t in zip(bits, basis):
@@ -340,19 +324,23 @@ def load_field_config(path: str) -> dict[int, dict]:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read field config {path!r}: {exc}") from None
     if not isinstance(raw, dict):
         raise InputError(f"field config {path!r} must be a JSON object keyed by degree")
     presets = {}
     for key, entry in raw.items():
-        if not key.isdecimal() or not isinstance(entry, dict):
+        try:
+            degree = int(key) if key.isdecimal() and isinstance(entry, dict) else None
+        except ValueError:  # more digits than int() converts
+            degree = None
+        if degree is None:
             raise InputError(f"bad field config entry {key!r}: {entry!r}; expected "
                              '"<n>": {"modulus": "<bits>", "primitive": <int>}')
         primitive = entry.get("primitive")
         if primitive is not None and type(primitive) is not int:
             raise InputError(f"field config primitive {primitive!r} is not an integer")
-        presets[int(key)] = {
+        presets[degree] = {
             "modulus": modulus_from_bits(entry["modulus"]) if "modulus" in entry else None,
             "primitive": primitive,
         }
@@ -429,14 +417,17 @@ def subgroup_span(gens: Iterable[int]) -> frozenset[int]:
 
 
 def subgroup_basis(group: Iterable[int]) -> list[int]:
-    """A GF(2)-basis of an additive subgroup, by bitwise elimination."""
+    """A GF(2)-basis of the span of `group`: in sorted order, each element
+    not in the span of those before it, found by bitwise elimination."""
     basis: list[int] = []
+    reduced: list[int] = []
     for g in sorted(group):
         x = g
-        for b in basis:
+        for b in reduced:
             x = min(x, x ^ b)
         if x:
-            basis.append(x)
+            reduced.append(x)
+            basis.append(g)
     return basis
 
 

@@ -102,7 +102,7 @@ def factorization_partition(F: GF2n,
     (1,)(2,)...(n,) means the basis is a product of single-qubit states and
     ((1, ..., n),) means it is fully entangled.
     """
-    gens = [monomial(F, *p) for p in point_generators(assert_admissible(F, points))]
+    gens = [monomial(F, *p) for p in point_generators(F, assert_admissible(F, points))]
     best: Optional[list[list[int]]] = None
     for part in _set_partitions(list(range(F.n))):
         if _partition_valid(gens, part):

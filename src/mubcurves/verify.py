@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InputError, NotCommutative
 from .curves import Point, PointSet, all_nonintersecting, assert_admissible, point_generators
 from .field import GF2n
-from .pauli import monomial
+from .pauli import bundle_structure, commutes, commuting_set, monomial
 
 # -- dense operators ---------------------------------------------------------------
 
@@ -160,7 +160,7 @@ class MubBasis:
                      for k, e in enumerate(self.norm_exps))
 
 
-def eigenbasis(F: GF2n, points: Iterable[Point], *, checked: bool = False) -> MubBasis:
+def eigenbasis(F: GF2n, points: Iterable[Point]) -> MubBasis:
     """Exact common eigenbasis of the curve's nonidentity monomials.
 
     The identity is split by one generator monomial at a time: for D with
@@ -172,15 +172,14 @@ def eigenbasis(F: GF2n, points: Iterable[Point], *, checked: bool = False) -> Mu
     sorted by their tuple of eigenvalue exponents, so the result is
     deterministic.  The result is checked exactly: d one-dimensional
     eigenspaces, power-of-2 norms, orthogonal columns, and each column a
-    joint eigenvector with its label.  `checked=True` skips validating
-    `points` for callers that already ran `assert_admissible` on them.
+    joint eigenvector with its label.
     """
-    pts = frozenset(points) if checked else assert_admissible(F, points)
+    pts = assert_admissible(F, points)
     d = F.order
     re = np.eye(d, dtype=np.int64)
     im = np.zeros((d, d), dtype=np.int64)
     codes = np.zeros(d, dtype=np.int64)     # labels as base-4 numbers
-    gens = point_generators(pts)
+    gens = point_generators(F, pts)
     dense = [dense_monomial(F, *g) for g in gens]
     # entries stay within 2^len(gens) = d in absolute value: no int64 overflow
     for g, D in zip(gens, dense):
@@ -326,15 +325,13 @@ def verify_bundle(F: GF2n, curves: Sequence[PointSet]) -> BundleReport:
     The operator table lists, column per curve, the glyph labels of its
     2^n - 1 nonidentity monomials in point order.
     """
-    from .pauli import bundle_structure, commutes, commuting_set
-
     curves = [assert_admissible(F, c) for c in curves]
     disjoint = all_nonintersecting(curves)
     sets = [commuting_set(F, c) for c in curves]
     commuting_ok = all(commutes(F, a, b)
                        for mons in sets
                        for a, b in itertools.combinations(mons, 2))
-    report = _atlas_report(F, curves, not check_trace_orthogonality(F, curves))
+    report = verify_atlas(F, curves)
     table = tuple(tuple(m.label() for m in mons) for mons in sets)
     # transpose: one row per monomial slot, one column per curve
     table = tuple(zip(*table)) if table else ()
@@ -352,14 +349,8 @@ def verify_atlas(F: GF2n, curves: Sequence[PointSet],
     is redundant when that ray is among the curves).
     """
     curves = [assert_admissible(F, c) for c in curves]
-    return _atlas_report(F, curves, not check_trace_orthogonality(F, curves),
-                         include_computational)
-
-
-def _atlas_report(F: GF2n, curves: Sequence[PointSet], trace_orthogonal: bool,
-                  include_computational: bool = False) -> VerificationReport:
-    """`verify_atlas` for validated curves whose trace check already ran."""
-    bases = [eigenbasis(F, c, checked=True) for c in curves]
+    trace_orthogonal = not check_trace_orthogonality(F, curves)
+    bases = [eigenbasis(F, c) for c in curves]
     if include_computational:
         d = F.order
         bases.append(MubBasis(frozenset((a, 0) for a in F.elements()),

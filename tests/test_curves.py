@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -16,6 +17,8 @@ from mubcurves.errors import (
     NotAnAdmissibleCurve,
     NotCommutative,
 )
+from mubcurves import bundles as B
+from mubcurves import cli
 from mubcurves import curves as C
 from mubcurves.field import make_field, modulus_from_bits, subgroup_basis
 
@@ -526,3 +529,103 @@ class TestNonintersection:
         mirrored = frozenset((b, a) for a, b in regular)
         exceptional = C.exceptional_unequal(F8, [s8(3), s8(5)])
         assert C.nonintersecting(mirrored, exceptional)
+
+
+@pytest.fixture
+def full_checks(monkeypatch):
+    """Counts the admissibility checks that reach the generator test, that
+    is every `assert_admissible` call not answered by a validated Curve."""
+    calls = []
+    generators = C.point_generators
+
+    def counted(F, pts):
+        calls.append(pts)
+        return generators(F, pts)
+
+    monkeypatch.setattr(C, "point_generators", counted)
+    return calls
+
+
+class TestValidatedCurve:
+    def test_enumerated_curves_are_trusted(self, full_checks):
+        for F in (F4, F8):
+            for c in C.enumerate_curves(F):
+                assert isinstance(c, C.Curve) and c.field == F
+                assert C.assert_admissible(F, c) is c
+                assert C.assert_admissible(make_field(F.n), c) is c   # an equal field
+        assert full_checks == []
+
+    def test_validated_once(self, full_checks):
+        pts = C.point_set(F8, CURVE_431)
+        curve = C.assert_admissible(F8, pts)
+        assert type(pts) is frozenset and isinstance(curve, C.Curve)
+        assert curve == pts and curve.field == F8
+        assert C.assert_admissible(F8, curve) is curve
+        assert len(full_checks) == 1
+
+    def test_other_modulus_rechecked(self, full_checks):
+        F1011, F1101 = (make_field(3, modulus_from_bits(m)) for m in ("1011", "1101"))
+        other = set(C.enumerate_curves(F1101))
+        curve = next(c for c in C.enumerate_curves(F1011) if c not in other)
+        assert curve.field == F1011 and curve.field != F1101
+        with pytest.raises(NotCommutative):
+            C.assert_admissible(F1101, curve)
+        assert full_checks == [curve]
+        shared = next(c for c in C.enumerate_curves(F1011) if c in other)
+        rechecked = C.assert_admissible(F1101, shared)
+        assert rechecked == shared and rechecked.field == F1101
+        assert len(full_checks) == 2
+
+    def test_set_operations_are_not_trusted(self, full_checks):
+        atlas = C.enumerate_curves(F8)
+        curve, other = atlas[5], atlas[70]
+        same = [curve | curve, curve & curve, curve - frozenset(), curve ^ frozenset(),
+                curve.union(), curve.intersection(curve), curve.copy(), frozenset(curve)]
+        changed = [(curve - {max(curve)}) | {max(other)}, curve | other, curve - other]
+        for r in same + changed:
+            assert type(r) is frozenset
+        for r in same:
+            assert C.assert_admissible(F8, r) == curve
+        assert full_checks == same
+        for r in changed:
+            with pytest.raises(NotAnAdmissibleCurve):
+                C.assert_admissible(F8, r)
+
+    def test_unvalidated_curve_is_checked(self, full_checks):
+        # a Curve made without a field, as a caller outside the module could
+        pts = C.Curve(C.point_set(F8, CURVE_431))
+        assert C.assert_admissible(F8, pts) == pts
+        assert len(full_checks) == 1
+
+    def test_is_admissible_always_checks(self, full_checks):
+        # negative control: a trusted Curve that is not admissible
+        fake = C._trusted(F4, {(0, 0), (1, 2), (2, 1), (3, 3)})
+        assert C.assert_admissible(F4, fake) is fake
+        assert not C.is_admissible(F4, fake)
+        assert C.is_admissible(F4, C.enumerate_curves(F4)[0])
+        assert len(full_checks) == 2
+
+    def test_points_outside_the_field(self):
+        # packed as a << n | b these are 0, 4, 5, 5: spanned by the isotropic
+        # pair (1, 0), (1, 1), although (0, 4) and (1, 5) are not field points
+        with pytest.raises(NotAnAdmissibleCurve):
+            C.assert_admissible(F4, {(0, 0), (0, 4), (1, 1), (1, 5)})
+        assert not C.is_admissible(F4, {(0, 0), (0, 4), (1, 1), (1, 5)})
+
+    def test_generators_are_curve_points_in_sorted_order(self):
+        for F in (F4, F8, F16):
+            for c in C.enumerate_curves(F)[::7]:
+                gens = C.point_generators(F, c)
+                assert gens == sorted(gens) and set(gens) <= c and len(gens) == F.n
+                assert subgroup(gens) == c
+
+    def test_full_check_counts(self, capsys, full_checks):
+        assert cli.main(["verify", "--n", "5"]) == 0
+        assert len(full_checks) == 33   # the ray bundle's curves, once each
+        full_checks.clear()
+        assert cli.main(["curves", "--n", "4"]) == 0
+        assert full_checks == []
+        seed = frozenset(C.enumerate_curves(F8)[17])
+        bundles = B.search_bundles(F8, [seed], limit=sys.maxsize)
+        assert len(bundles) == 64 and full_checks == [seed]
+        capsys.readouterr()

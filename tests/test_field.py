@@ -253,6 +253,18 @@ class TestLinearAlgebra:
     def test_solve_inconsistent(self):
         assert mat_solve(F8, [[1, 1], [1, 1]], [1, 0]) is None
 
+    def test_subgroup_basis_keeps_the_greedy_elements(self):
+        # against 3 and 4, 6 reduces to 1; the basis holds 6 itself
+        assert subgroup_basis([6, 4, 3]) == [3, 4, 6]
+        assert subgroup_basis([5, 3, 6, 0, 5]) == [3, 5]
+        rng = random.Random(3)
+        for _ in range(200):
+            group = [rng.randrange(32) for _ in range(rng.randrange(7))]
+            basis = subgroup_basis(group)
+            assert basis == sorted(basis) and set(basis) <= set(group)
+            assert subgroup_span(basis) == subgroup_span(group)
+            assert len(subgroup_span(basis)) == 1 << len(basis)
+
     def test_subgroup_helpers(self):
         span = subgroup_span([2, 4])
         assert span == frozenset({0, 2, 4, 6})
