@@ -23,6 +23,7 @@ from .curves import (
     enumerate_curves,
     nonintersecting,
     point_set,
+    require_enumerable,
 )
 from .field import GF2n
 
@@ -117,7 +118,10 @@ def search_bundles(F: GF2n, seed_curves: Optional[Sequence[PointSet]] = None,
     the atlas.  Curves and their adjacency are int bitsets (bit i is atlas
     curve i), and candidates are tried in ascending atlas order, so the
     output is deterministic.  Raises EmptyResult when no completion exists.
+    The adjacency takes M^2/8 bytes for an atlas of M curves, about 717 MB
+    for the 75,735 curves at n = 5, so n > 4 raises InputError up front.
     """
+    require_enumerable(F)
     if limit < 1:
         raise InputError("limit must be positive")
     atlas = enumerate_curves(F)

@@ -18,7 +18,7 @@ from . import bundles as B
 from . import curves as C
 from . import pauli as P
 from . import verify as V
-from .errors import EmptyResult, InputError, MubcError
+from .errors import EmptyResult, InputError, MubcError, clip
 from .field import GF2n, field_from_config, make_field, modulus_from_bits
 
 ENV_FIELD_CONFIG = "MUBC_FIELD_CONFIG"
@@ -114,10 +114,10 @@ def _fmt_structural(F: GF2n, eq: C.StructuralEquation, var: str) -> str:
 def parse_explicit(F: GF2n, text: str) -> C.PointSet:
     """Parse "b = s^2*a + a^2" (or "a = ...") into a point set."""
     if "=" not in text:
-        raise InputError(f"curve spec {text!r} has no '='")
+        raise InputError(f"curve spec {clip(text)} has no '='")
     lhs, rhs = (side.strip() for side in text.split("=", 1))
     if lhs not in ("a", "b"):
-        raise InputError(f"curve spec must start with 'a =' or 'b =', got {lhs!r}")
+        raise InputError(f"curve spec must start with 'a =' or 'b =', got {clip(lhs)}")
     ind = "a" if lhs == "b" else "b"
     coeffs = [0] * F.n
     rhs = rhs.replace(" ", "")
@@ -128,19 +128,19 @@ def parse_explicit(F: GF2n, text: str) -> C.PointSet:
             elif term.startswith(ind):
                 coeff_s, power_s = "1", term
             else:
-                raise InputError(f"bad term {term!r} in curve spec")
+                raise InputError(f"bad term {clip(term)} in curve spec")
             if power_s == ind:
                 m = 0
             elif power_s.startswith(f"{ind}^"):
                 try:
                     e = int(power_s[2:])
                 except ValueError:
-                    raise InputError(f"bad exponent in {term!r}") from None
+                    raise InputError(f"bad exponent in {clip(term)}") from None
                 m = e.bit_length() - 1
                 if e < 1 or 1 << m != e or m >= F.n:
-                    raise InputError(f"exponent in {term!r} must be 2^m, m < {F.n}")
+                    raise InputError(f"exponent in {clip(term)} must be 2^m, m < {F.n}")
             else:
-                raise InputError(f"bad term {term!r} in curve spec")
+                raise InputError(f"bad term {clip(term)} in curve spec")
             coeffs[m] ^= F.parse_element(coeff_s)
     pts = C.point_set(F, C.curve_from_phi(F, coeffs))
     if lhs == "a":
@@ -155,7 +155,7 @@ def parse_curve_arg(F: GF2n, text: str) -> C.PointSet:
         try:
             pairs = json.loads(text)
         except (ValueError, RecursionError) as exc:
-            raise InputError(f"bad JSON curve {text!r}: {exc}") from None
+            raise InputError(f"bad JSON curve {clip(text)}: {exc}") from None
         return _curve_from_pairs(F, pairs)
     return parse_explicit(F, text)
 
@@ -165,11 +165,11 @@ def _curve_from_pairs(F: GF2n, pairs: object) -> C.PointSet:
     try:
         pts = frozenset((a, b) for a, b in pairs)
     except (TypeError, ValueError):
-        raise InputError(f"curve {pairs!r} is not a list of [alpha, beta] pairs") from None
+        raise InputError(f"curve {clip(pairs)} is not a list of [alpha, beta] pairs") from None
     if any(type(c) is not int for p in pts for c in p):
-        raise InputError(f"curve {pairs!r} has coordinates that are not integers")
+        raise InputError(f"curve {clip(pairs)} has coordinates that are not integers")
     if any(not (0 <= c < F.order) for p in pts for c in p):
-        raise InputError(f"curve {pairs!r} has coordinates outside 0..{F.order - 1}")
+        raise InputError(f"curve {clip(pairs)} has coordinates outside 0..{F.order - 1}")
     return C.assert_admissible(F, pts)
 
 
@@ -181,12 +181,12 @@ def parse_ops(text: str) -> list[tuple[str, int]]:
         if not chunk:
             continue
         if "@" not in chunk:
-            raise InputError(f"bad op {chunk!r}; expected axis@qubit like x@1")
+            raise InputError(f"bad op {clip(chunk)}; expected axis@qubit like x@1")
         axis, qubit = chunk.split("@", 1)
         try:
             ops.append((axis.strip(), int(qubit)))
         except ValueError:
-            raise InputError(f"bad op {chunk!r}; the qubit must be an integer") from None
+            raise InputError(f"bad op {clip(chunk)}; the qubit must be an integer") from None
     return ops
 
 
@@ -233,15 +233,9 @@ def cmd_field(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require_enumerable(F: GF2n) -> None:
-    """Enumeration and search grow exponentially in n: refuse n > 4."""
-    if F.n > 4:
-        raise InputError("curve enumeration supported for n <= 4")
-
-
 def cmd_curves(args: argparse.Namespace) -> int:
     F = _build_field(args)
-    _require_enumerable(F)
+    C.require_enumerable(F)
     atlas = C.enumerate_curves(F)
     records = [curve_record(F, pts) for pts in atlas]
     kinds = [r["kind"] for r in records]
@@ -302,7 +296,7 @@ def _build_bundle(args: argparse.Namespace, F: GF2n) -> B.Bundle:
         coeffs = [C.explicit_curve(F, s).coeffs for s in seeds]
         return B.closure_bundle(F, coeffs)
     if args.strategy == "search":
-        _require_enumerable(F)
+        C.require_enumerable(F)
         seeds = load_seed_curves(F, args.seed) if args.seed else None
         return B.search_bundles(F, seeds, limit=1)[0]
     raise InputError(f"unknown strategy {args.strategy!r}")

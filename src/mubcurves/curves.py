@@ -39,6 +39,7 @@ from .field import (
     subgroup_basis,
     subgroup_span,
     trace_orthogonal_complement,
+    trace_pairing,
 )
 
 Point = tuple[int, int]
@@ -90,8 +91,10 @@ def point_set(F: GF2n, curve: ParametricCurve) -> PointSet:
 
 
 def symplectic_trace(F: GF2n, p: Point, q: Point) -> int:
-    """tr(alpha beta') + tr(alpha' beta) for points (alpha,beta),(alpha',beta')."""
-    return F.trace(F.mul(p[0], q[1])) ^ F.trace(F.mul(p[1], q[0]))
+    """tr(alpha beta') + tr(alpha' beta) for points (alpha,beta),(alpha',beta'):
+    the parity of the qubit-wise clash word of the two selfdual bit rows."""
+    b = F.coord_bits
+    return ((b[p[0]] & b[q[1]]) ^ (b[p[1]] & b[q[0]])).bit_count() & 1
 
 
 def is_additive_subgroup(points: Iterable[Point]) -> bool:
@@ -347,15 +350,12 @@ def annihilator(F: GF2n, group: Iterable[int]) -> StructuralEquation:
 
 
 def trace_witness(F: GF2n, group: Iterable[int]) -> int:
-    """xi with tr(xi x) = 0 exactly on a corank-1 subgroup."""
-    span = subgroup_span(subgroup_basis(group))
-    if len(span) != F.order // 2:
+    """xi with tr(xi x) = 0 exactly on a corank-1 subgroup: its complement is {0, xi}."""
+    gens = subgroup_basis(group)
+    if len(gens) != F.n - 1:
         raise NoStructuralEquation(
-            f"trace witness needs a corank-1 subgroup, got size {len(span)}")
-    for xi in range(1, F.order):
-        if all(F.trace(F.mul(xi, a)) == 0 for a in span):
-            return xi
-    raise NoStructuralEquation("no trace witness found")  # pragma: no cover
+            f"trace witness needs a corank-1 subgroup, got size {1 << len(gens)}")
+    return max(trace_orthogonal_complement(F, gens))
 
 
 def structural_equations(
@@ -435,6 +435,12 @@ def atlas_size(n: int) -> int:
     return out
 
 
+def require_enumerable(F: GF2n) -> None:
+    """Refuse n > 4 for atlas-wide work: 75,735 curves at n = 5."""
+    if F.n > 4:
+        raise InputError("curve enumeration supported for n <= 4")
+
+
 def _subspace_bases(n: int, r: int) -> Iterator[tuple[int, ...]]:
     """One basis of every r-dimensional subspace of GF(2)^n: the rows of
     its reduced echelon form, each row's leading bit clear in the others."""
@@ -458,14 +464,11 @@ def enumerate_curves(F: GF2n, kind: Optional[str] = None) -> list[Curve]:
     curves: list[Curve] = []
     for r in range(F.n + 1):
         for basis in _subspace_bases(F.n, r):
-            T = trace_orthogonal_complement(F, basis)
-            # dual lifts g_i: tr(a_j g_i) = delta_ij, read off a table of
-            # the pairing vectors (tr(a_1 x), ..., tr(a_r x))
-            lift: dict[int, int] = {}
-            for x in F.elements():
-                lift.setdefault(sum(F.trace(F.mul(a, x)) << j
-                                    for j, a in enumerate(basis)), x)
-            g = [lift[1 << i] for i in range(r)]
+            # T pairs to 0 with A; the dual lift g_i (tr(a_j g_i) = delta_ij)
+            # is the first x that pairs to the unit word 1 << i
+            pairing = trace_pairing(F, basis)
+            T = [t for t, word in enumerate(pairing) if not word]
+            g = [pairing.index(1 << i) for i in range(r)]
             # (f_M(a_1), ..., f_M(a_r)) for every symmetric M, doubling the
             # list once per entry pair M_ij = M_ji
             images = [(0,) * r]

@@ -1,8 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `clip` for their messages."""
 
 
 class MubcError(Exception):
     """Base class for all package-specific errors."""
+
+
+def clip(value: object) -> str:
+    """repr of user input for a one-line error message, cut after 80 characters."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:80] + "..."
 
 
 class UnsupportedDegree(MubcError):
@@ -26,7 +32,8 @@ class NoSelfdualFound(MubcError):
 
 
 class NotAnAdmissibleCurve(MubcError):
-    """Curve is singular or its labelled monomials do not commute."""
+    """Point set is not an additive subgroup of order 2^n (a singular curve);
+    a subgroup whose monomials do not commute raises NotCommutative."""
 
 
 class NotCommutative(MubcError):

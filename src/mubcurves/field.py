@@ -4,7 +4,10 @@ Field elements are plain integers whose binary digits are the coordinates
 in the polynomial basis {1, s, s^2, ..., s^{n-1}}, where s is the class of
 x modulo the defining polynomial.  Addition is XOR; multiplication goes
 through precomputed discrete-log tables (the fields have at most 32
-elements, so every table is built eagerly at construction).
+elements, so every table is built eagerly at construction).  Qubits read
+the selfdual coordinates a_k = tr(a theta_k), packed in `coord_bits[a]` with
+qubit 1 as the top bit; as tr(theta_k theta_l) = delta_kl, the trace form is
+tr(a b) = parity(coord_bits[a] & coord_bits[b]), and every pairing reads it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .errors import (
     NoSelfdualFound,
     SingularBasis,
     UnsupportedDegree,
+    clip,
 )
 
 MAX_DEGREE = 5
@@ -88,6 +92,9 @@ class GF2n:
     log_table / antilog_table : discrete logs base `primitive`.
     trace_table : per-element trace in {0, 1}.
     selfdual_basis : tuple (theta_1, ..., theta_n) with tr(t_k t_l) = delta.
+    coord_bits : selfdual coordinate words; bit n-k of coord_bits[a] is
+        tr(a theta_k), so qubit 1 is the top bit and tr(a b) is the parity
+        of coord_bits[a] & coord_bits[b].
     jacobi_L1 : exponent L with 1 + sigma = sigma^L (None for n = 1).
     """
 
@@ -121,6 +128,13 @@ class GF2n:
             raise NoSelfdualFound("trace is not balanced; field tables corrupt")
 
         self.selfdual_basis = self.find_selfdual_basis()
+        # coords(theta_k) is the k-th unit word, so the words follow the span
+        self.coord_bits = [0] * self.order
+        span = [0]
+        for k, t in enumerate(self.selfdual_basis):
+            for x in span[:]:
+                span.append(x ^ t)
+                self.coord_bits[x ^ t] = self.coord_bits[x] | 1 << (self.n - 1 - k)
         one_plus_sigma = 1 ^ self.primitive
         self.jacobi_L1 = self.log_table[one_plus_sigma] if one_plus_sigma else None
 
@@ -209,14 +223,15 @@ class GF2n:
         if len(basis) != self.n or len(subgroup_basis(basis)) != self.n:
             raise SingularBasis(f"{basis} is not a basis of GF(2^{self.n})")
         # for a basis, x |-> (tr(theta_1 x), ..., tr(theta_n x)) is a bijection
-        pairing = {sum(self.trace(self.mul(b, x)) << k for k, b in enumerate(basis)): x
-                   for x in self.elements()}
-        return tuple(pairing[1 << l] for l in range(self.n))
+        pairing = trace_pairing(self, basis)
+        return tuple(pairing.index(1 << l) for l in range(self.n))
 
     def coords(self, a: int, basis: Optional[Sequence[int]] = None) -> tuple[int, ...]:
-        """Coordinates of `a` in `basis` (selfdual basis by default)."""
+        """Coordinates of `a` in `basis` (selfdual basis by default): the
+        traces tr(a theta'_k) against the dual basis."""
         dual = self.selfdual_basis if basis is None else self.dual_basis(basis)
-        return tuple(self.trace(self.mul(a, t)) for t in dual)
+        w = self.coord_bits[a]
+        return tuple((w & self.coord_bits[t]).bit_count() & 1 for t in dual)
 
     def from_coords(self, bits: Sequence[int],
                     basis: Optional[Sequence[int]] = None) -> int:
@@ -287,9 +302,9 @@ class GF2n:
                 try:
                     k = int(text[len(prefix):])
                 except ValueError as exc:
-                    raise InputError(f"bad element {text!r}") from exc
+                    raise InputError(f"bad element {clip(text)}") from exc
                 return self.sigma_pow(k)
-        raise InputError(f"bad element {text!r}")
+        raise InputError(f"bad element {clip(text)}")
 
     def __repr__(self) -> str:
         return f"GF2n(n={self.n}, modulus={self.modulus:#b})"
@@ -311,7 +326,7 @@ def make_field(n: int, modulus: Optional[int] = None,
 def modulus_from_bits(bits: str) -> int:
     """Parse a little-endian coefficient string, e.g. "111" -> x^2+x+1."""
     if not isinstance(bits, str) or not bits or any(c not in "01" for c in bits):
-        raise InputError(f"bad modulus bit string {bits!r}")
+        raise InputError(f"bad modulus bit string {clip(bits)}")
     return int(bits[::-1], 2)
 
 
@@ -335,11 +350,11 @@ def load_field_config(path: str) -> dict[int, dict]:
         except ValueError:  # more digits than int() converts
             degree = None
         if degree is None:
-            raise InputError(f"bad field config entry {key!r}: {entry!r}; expected "
+            raise InputError(f"bad field config entry {clip(key)}: {clip(entry)}; expected "
                              '"<n>": {"modulus": "<bits>", "primitive": <int>}')
         primitive = entry.get("primitive")
         if primitive is not None and type(primitive) is not int:
-            raise InputError(f"field config primitive {primitive!r} is not an integer")
+            raise InputError(f"field config primitive {clip(primitive)} is not an integer")
         presets[degree] = {
             "modulus": modulus_from_bits(entry["modulus"]) if "modulus" in entry else None,
             "primitive": primitive,
@@ -431,11 +446,18 @@ def subgroup_basis(group: Iterable[int]) -> list[int]:
     return basis
 
 
+def trace_pairing(F: GF2n, gens: Sequence[int]) -> list[int]:
+    """Entry x is the word sum_j tr(g_j x) << j, read off the selfdual
+    coordinate words: tr(g x) is the parity of their AND."""
+    words = [F.coord_bits[g] for g in gens]
+    return [sum(((w & v).bit_count() & 1) << j for j, w in enumerate(words))
+            for v in F.coord_bits]
+
+
 def trace_orthogonal_complement(F: GF2n, group: Iterable[int]) -> frozenset[int]:
     """All t with tr(t a) = 0 for every a in the subgroup."""
-    gens = subgroup_basis(group)
-    return frozenset(t for t in F.elements()
-                     if all(F.trace(F.mul(t, g)) == 0 for g in gens))
+    pairing = trace_pairing(F, subgroup_basis(group))
+    return frozenset(t for t, word in enumerate(pairing) if not word)
 
 
 def field_from_config(n: int, path: str) -> GF2n:

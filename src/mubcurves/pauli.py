@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, clip
 from .curves import Point, PointSet, assert_admissible, point_generators, symplectic_trace
 from .field import GF2n
 
@@ -42,9 +42,7 @@ class PauliMonomial:
 
 
 def monomial(F: GF2n, alpha: int, beta: int) -> PauliMonomial:
-    z = tuple(F.trace(F.mul(alpha, t)) for t in F.selfdual_basis)
-    x = tuple(F.trace(F.mul(beta, t)) for t in F.selfdual_basis)
-    return PauliMonomial(alpha, beta, z, x)
+    return PauliMonomial(alpha, beta, F.coords(alpha), F.coords(beta))
 
 
 def commutes(F: GF2n, m1: PauliMonomial, m2: PauliMonomial) -> bool:
@@ -60,12 +58,6 @@ def commuting_set(F: GF2n, points: Iterable[Point]) -> list[PauliMonomial]:
 # -- factorization structure -----------------------------------------------------
 
 
-def _c_vector(m1: PauliMonomial, m2: PauliMonomial) -> tuple[int, ...]:
-    """Per-qubit anticommutation bits of a monomial pair."""
-    return tuple((z1 & x2) ^ (z2 & x1)
-                 for z1, x1, z2, x2 in zip(m1.z_bits, m1.x_bits, m2.z_bits, m2.x_bits))
-
-
 def _set_partitions(items: Sequence[int]) -> Iterable[list[list[int]]]:
     """All partitions of `items` into nonempty blocks (Bell(5) = 52 at most)."""
     if not items:
@@ -78,22 +70,6 @@ def _set_partitions(items: Sequence[int]) -> Iterable[list[list[int]]]:
         yield [[first]] + part
 
 
-def _partition_valid(curve_monomials: Sequence[PauliMonomial],
-                     blocks: Sequence[Sequence[int]]) -> bool:
-    """Each block's qubits must carry a genuinely commuting tensor factor:
-    the per-qubit anticommutation bits of every monomial pair must cancel
-    inside every block separately."""
-    for m1, m2 in itertools.combinations(curve_monomials, 2):
-        c = _c_vector(m1, m2)
-        for block in blocks:
-            acc = 0
-            for q in block:
-                acc ^= c[q]
-            if acc:
-                return False
-    return True
-
-
 def factorization_partition(F: GF2n,
                             points: Iterable[Point]) -> tuple[tuple[int, ...], ...]:
     """Finest qubit partition whose blocks factor the curve's commuting set.
@@ -101,11 +77,17 @@ def factorization_partition(F: GF2n,
     Returned as a tuple of 1-based qubit index tuples, coarsest block last;
     (1,)(2,)...(n,) means the basis is a product of single-qubit states and
     ((1, ..., n),) means it is fully entangled.
+
+    A block carries a commuting tensor factor when every generator pair's
+    clash word (z1 & x2) ^ (z2 & x1) has even parity on its qubit mask.
     """
-    gens = [monomial(F, *p) for p in point_generators(F, assert_admissible(F, points))]
+    words = F.coord_bits
+    gens = [(words[a], words[b]) for a, b in point_generators(F, assert_admissible(F, points))]
+    clashes = [(z1 & x2) ^ (z2 & x1) for (z1, x1), (z2, x2) in itertools.combinations(gens, 2)]
     best: Optional[list[list[int]]] = None
     for part in _set_partitions(list(range(F.n))):
-        if _partition_valid(gens, part):
+        masks = [sum(1 << (F.n - 1 - q) for q in block) for block in part]
+        if not any((c & m).bit_count() & 1 for c in clashes for m in masks):
             if best is None or len(part) > len(best):
                 best = part
     assert best is not None  # the single-block partition is always valid
@@ -168,7 +150,7 @@ def local_transform_bits(kind: str, qubit: int, z_bits: Sequence[int],
     x leaves sigma_x fixed and maps sigma_z -> sigma_y; y swaps z and x.
     """
     if kind not in _BIT_MAPS:
-        raise InputError(f"unknown rotation {kind!r}; expected z, x or y")
+        raise InputError(f"unknown rotation {clip(kind)}; expected z, x or y")
     if not 1 <= qubit <= len(z_bits):
         raise InputError(f"qubit {qubit} out of range 1..{len(z_bits)}")
     k = qubit - 1

@@ -27,13 +27,9 @@ from .pauli import bundle_structure, commutes, commuting_set, monomial
 
 
 def basis_index(F: GF2n, c: int) -> int:
-    """Computational-basis index of field element c: qubit 1 is the most
-    significant bit of the selfdual-coordinate word."""
-    bits = F.coords(c)
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    return idx
+    """Computational-basis index of field element c: its selfdual-coordinate
+    word, qubit 1 the most significant bit."""
+    return F.coord_bits[c]
 
 
 def dense_monomial(F: GF2n, alpha: int, beta: int) -> np.ndarray:
@@ -73,7 +69,7 @@ def dense_from_bits(z_bits: Sequence[int], x_bits: Sequence[int]) -> np.ndarray:
 
 def monomial_square_sign(F: GF2n, alpha: int, beta: int) -> int:
     """(Z_alpha X_beta)^2 = chi(alpha beta) * identity."""
-    return F.character(F.mul(alpha, beta))
+    return -1 if (F.coord_bits[alpha] & F.coord_bits[beta]).bit_count() & 1 else 1
 
 
 def tensor_phase(F: GF2n, alpha: int, beta: int) -> int:
@@ -264,8 +260,9 @@ def check_trace_orthogonality(F: GF2n,
     """
     d = F.order
     labelled = [p for c in curves for p in sorted(c) if p != (0, 0)]
-    chi = np.array([[F.character(F.mul(a, x)) for x in F.elements()]
-                    for a in F.elements()], dtype=np.int64)
+    # chi(a x) = (-1)^tr(a x), the parity of the AND of the coordinate words
+    chi = np.array([[1 - 2 * ((wa & wx).bit_count() & 1) for wx in F.coord_bits]
+                    for wa in F.coord_bits], dtype=np.int64)
     shifts = np.arange(d)
     by_beta: dict[int, list[int]] = {}
     for k, (_, beta) in enumerate(labelled):
@@ -340,23 +337,11 @@ def verify_bundle(F: GF2n, curves: Sequence[PointSet]) -> BundleReport:
                         tuple(tuple(r) for r in table))
 
 
-def verify_atlas(F: GF2n, curves: Sequence[PointSet],
-                 include_computational: bool = False) -> VerificationReport:
-    """Build every eigenbasis exactly and check pairwise unbiasedness.
-
-    With `include_computational` the standard basis is checked against each
-    curve basis as well (it is the eigenbasis of the ray beta = 0, so this
-    is redundant when that ray is among the curves).
-    """
+def verify_atlas(F: GF2n, curves: Sequence[PointSet]) -> VerificationReport:
+    """Build every eigenbasis exactly and check pairwise unbiasedness."""
     curves = [assert_admissible(F, c) for c in curves]
     trace_orthogonal = not check_trace_orthogonality(F, curves)
     bases = [eigenbasis(F, c) for c in curves]
-    if include_computational:
-        d = F.order
-        bases.append(MubBasis(frozenset((a, 0) for a in F.elements()),
-                              tuple((i,) for i in range(d)),
-                              np.eye(d, dtype=np.int64), np.zeros((d, d), dtype=np.int64),
-                              np.zeros(d, dtype=np.int64)))
     failures = []
     for i, j in itertools.combinations(range(len(bases)), 2):
         if bases[i].points == bases[j].points:

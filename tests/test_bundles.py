@@ -185,6 +185,14 @@ class TestSearch:
         with pytest.raises(InputError):
             B.search_bundles(F4, limit=0)
 
+    def test_refused_above_four_qubits_before_enumerating(self, monkeypatch):
+        # the n = 5 adjacency alone would take about 717 MB
+        def no_enumeration(F):
+            raise AssertionError("search_bundles enumerated the n = 5 atlas")
+        monkeypatch.setattr(B, "enumerate_curves", no_enumeration)
+        with pytest.raises(InputError, match=r"^curve enumeration supported for n <= 4$"):
+            B.search_bundles(make_field(5))
+
     def test_intersecting_seeds_rejected(self):
         # beta = alpha and beta = alpha^2 share the point (1, 1)
         with pytest.raises(InputError):

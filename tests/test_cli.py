@@ -257,6 +257,7 @@ class TestMalformedInput:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        return err
 
     @pytest.mark.parametrize("curve", [
         "[[0, 0], [1,", "[1, 2]", "[[0, 0], [1, 1, 1]]", "[[0, 0], [99, 1], [5, 5], [102, 4]]"],
@@ -337,8 +338,9 @@ class TestMalformedInput:
 
     def test_deeply_nested_json(self, capsys, tmp_path, monkeypatch):
         deep = "[" * 100_000
-        self.assert_input_error(capsys, "transform", "--n", "2", "--curve", deep,
-                                "--ops", "x@1")
+        err = self.assert_input_error(capsys, "transform", "--n", "2", "--curve", deep,
+                                      "--ops", "x@1")
+        assert len(err.encode()) < 200
         seeds = tmp_path / "seeds.json"
         seeds.write_text(deep)
         self.assert_input_error(capsys, "verify", "--n", "2", "--seed", str(seeds))
@@ -349,7 +351,20 @@ class TestMalformedInput:
         path = tmp_path / "fields.json"
         path.write_text(json.dumps({"1" * 5000: {}}))
         monkeypatch.setenv(cli.ENV_FIELD_CONFIG, str(path))
-        self.assert_input_error(capsys, "field", "--n", "3")
+        err = self.assert_input_error(capsys, "field", "--n", "3")
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("argv", [
+        ("--curve", "b = " + "s" * 100_000 + "*a", "--ops", "x@1"),
+        ("--curve", "b = a + " + "a" * 100_000, "--ops", "x@1"),
+        ("--curve", "[" + "[0, 0], " * 20_000 + "[1]]", "--ops", "x@1"),
+        ("--curve", "b = a", "--ops", "q" * 100_000),
+        ("--curve", "b = a", "--ops", "w" * 100_000 + "@1"),
+        ("--curve", "b = a", "--ops", "x@1", "--modulus", "2" * 100_000)],
+        ids=["element", "term", "pairs", "op", "rotation", "modulus"])
+    def test_long_input_is_clipped_in_the_error_line(self, capsys, argv):
+        err = self.assert_input_error(capsys, "transform", "--n", "2", *argv)
+        assert len(err.encode()) < 200 and "..." in err
 
 
 def json_values():

@@ -22,6 +22,7 @@ from mubcurves.field import (
     subgroup_basis,
     subgroup_span,
     trace_orthogonal_complement,
+    trace_pairing,
 )
 
 F2 = make_field(1)
@@ -179,6 +180,39 @@ class TestBases:
             F4.dual_basis((1, 1))
         with pytest.raises(SingularBasis):
             F8.coords(1, basis=(1, 2, 3))
+
+
+COORD_FIELDS = [make_field(n) for n in range(1, 6)] + [
+    make_field(len(bits) - 1, modulus_from_bits(bits)) for bits in ("1011", "10011", "100101")]
+
+
+@pytest.mark.parametrize("F", COORD_FIELDS, ids=lambda F: f"n{F.n}-{modulus_to_bits(F.modulus)}")
+class TestSelfdualCoordinates:
+    """`coord_bits` against brute-force traces of products, every pair."""
+
+    def test_parity_is_trace_of_product(self, F):
+        b = F.coord_bits
+        for x in F.elements():
+            for y in F.elements():
+                assert (b[x] & b[y]).bit_count() % 2 == F.trace(F.mul(x, y))
+
+    def test_coords_are_msb_first_bits(self, F):
+        for x in F.elements():
+            assert F.coords(x) == tuple(int(c) for c in format(F.coord_bits[x], f"0{F.n}b"))
+            assert F.coords(x) == tuple(F.trace(F.mul(x, t)) for t in F.selfdual_basis)
+
+    def test_coords_in_polynomial_basis_are_the_element_bits(self, F):
+        basis = [1 << k for k in range(F.n)]
+        for x in F.elements():
+            assert F.coords(x, basis) == tuple(x >> k & 1 for k in range(F.n))
+
+    def test_trace_pairing_matches_brute_force(self, F):
+        gen_lists = [[g] for g in F.elements()] + [
+            list(F.selfdual_basis), [F.sigma_pow(k) for k in range(F.n)], [3 % F.order, 0, 1]]
+        for gens in gen_lists:
+            want = [sum(F.trace(F.mul(g, x)) << j for j, g in enumerate(gens))
+                    for x in F.elements()]
+            assert trace_pairing(F, gens) == want
 
 
 class TestJacobi:

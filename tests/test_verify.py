@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mubcurves.errors import InputError, NotCommutative
+from mubcurves.errors import InputError, NotAnAdmissibleCurve, NotCommutative
 from mubcurves import bundles as B
 from mubcurves import curves as C
 from mubcurves import pauli as P
 from mubcurves import verify as V
-from mubcurves.field import make_field
+from mubcurves.field import make_field, trace_pairing
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -245,8 +245,11 @@ class TestUnbiasedness:
         assert got.count(1) == 4 and got.count(0) == 12
 
     def test_verify_atlas_report(self):
-        rep = V.verify_atlas(F4, B.ray_bundle(F4).curves, include_computational=True)
-        assert rep.ok and rep.num_bases == 6 and rep.failures == ()
+        # the beta = 0 ray, whose eigenbasis is the computational basis, is one of the curves
+        curves = B.ray_bundle(F4).curves
+        assert ray(F4, 0) in curves
+        rep = V.verify_atlas(F4, curves)
+        assert rep.ok and rep.num_bases == 5 and rep.failures == ()
 
     def test_verify_atlas_flags_biased_pair(self):
         # beta = alpha and beta = alpha^2 share the point (1, 1), so the two
@@ -257,9 +260,10 @@ class TestUnbiasedness:
         assert not rep.unbiased and rep.failures == ((0, 1),)
 
     def test_verify_atlas_skips_identical_point_sets(self):
-        rep = V.verify_atlas(F4, [ray(F4, 0)], include_computational=True)
-        # the computational basis is the beta = 0 eigenbasis: same points
-        assert rep.unbiased and rep.failures == ()
+        rep = V.verify_atlas(F4, [ray(F4, 0), ray(F4, 0)])
+        # a repeated curve is not compared with itself; its labels still collide
+        assert rep.unbiased and rep.failures == () and rep.num_bases == 2
+        assert not rep.trace_orthogonal
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -274,6 +278,43 @@ def test_pairs_unbiased_exactly_when_disjoint(F, disjoint, data):
     assert V.check_unbiased(F, b1, b2) == disjoint
     overlaps = set(V.unbiasedness_overlaps(b1, b2))
     assert (overlaps == {Fraction(1, F.order)}) == disjoint
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from([F2, F4, F8, make_field(4), make_field(5)]), st.data())
+def test_random_lagrangians_give_exact_eigenbases(F, data):
+    """(A, M) drawn directly, not from the atlas: A from an echelon basis with
+    random lower bits, M a random symmetric binary matrix, T and the dual
+    lifts g_i from one trace pairing, curve {(a, f_M(a) + t)}."""
+    d = F.order
+    r = data.draw(st.integers(0, F.n))
+    pivots = sorted(data.draw(st.permutations(range(F.n)))[:r])
+    basis = [1 << p | data.draw(st.integers(0, (1 << p) - 1)) for p in pivots]
+    M = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            M[i][j] = M[j][i] = data.draw(st.integers(0, 1))
+    pairing = trace_pairing(F, basis)
+    g = [pairing.index(1 << i) for i in range(r)]
+    pts = {(0, t) for t, word in enumerate(pairing) if not word}
+    for j, a in enumerate(basis):
+        fa = 0
+        for i in range(r):
+            fa ^= g[i] if M[i][j] else 0
+        pts |= {(x ^ a, y ^ fa) for x, y in pts}
+    curve = C.assert_admissible(F, pts)
+    b = V.eigenbasis(F, curve)
+    assert b.re.shape == b.im.shape == (d, d)
+    norms = (b.re * b.re + b.im * b.im).sum(axis=0)
+    assert norms.tolist() == [1 << int(e) for e in b.norm_exps]
+    assert not (b.re.T @ b.im - b.im.T @ b.re).any()
+    assert np.array_equal(b.re.T @ b.re + b.im.T @ b.im, np.diag(norms))
+    if F.n > 1:  # at n = 1 every 2-point set {0, q} is a Lagrangian
+        p = data.draw(st.sampled_from(sorted(curve - {(0, 0)})))
+        q = data.draw(st.sampled_from(
+            [(x, y) for x in F.elements() for y in F.elements() if (x, y) not in curve]))
+        with pytest.raises((NotAnAdmissibleCurve, NotCommutative)):
+            V.eigenbasis(F, (curve - {p}) | {q})
 
 
 class TestVerifyBundle:
