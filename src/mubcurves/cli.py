@@ -18,7 +18,7 @@ from . import bundles as B
 from . import curves as C
 from . import pauli as P
 from . import verify as V
-from .errors import EmptyResult, InputError, MubcError, clip
+from .errors import EmptyResult, InputError, MubcError, clip, reason
 from .field import GF2n, field_from_config, make_field, modulus_from_bits
 
 ENV_FIELD_CONFIG = "MUBC_FIELD_CONFIG"
@@ -35,13 +35,13 @@ def _build_field(args: argparse.Namespace) -> GF2n:
 
 def _emit(args: argparse.Namespace, text_lines: Callable[[], list[str]],
           payload: Callable[[], dict],
-          tsv_rows: Optional[list[list[str]]] = None) -> None:
-    """Render only what --format asks for: `text_lines` and `payload` are
-    called lazily, and tsv falls back to one text line per row."""
+          tsv_rows: Optional[Callable[[], list[list[str]]]] = None) -> None:
+    """Render only what --format asks for: `text_lines`, `payload` and
+    `tsv_rows` are called lazily, and tsv falls back to one text line per row."""
     if args.format == "json":
         out = json.dumps(payload(), indent=2, sort_keys=True) + "\n"
     elif args.format == "tsv":
-        rows = tsv_rows if tsv_rows is not None else [[line] for line in text_lines()]
+        rows = tsv_rows() if tsv_rows is not None else [[line] for line in text_lines()]
         out = "".join("\t".join(r) + "\n" for r in rows)
     else:
         out = "".join(line + "\n" for line in text_lines())
@@ -50,7 +50,7 @@ def _emit(args: argparse.Namespace, text_lines: Callable[[], list[str]],
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(out)
         except OSError as exc:
-            raise InputError(f"cannot write {args.out!r}: {exc}") from None
+            raise InputError(f"cannot write {clip(args.out)}: {reason(exc)}") from None
     else:
         sys.stdout.write(out)
 
@@ -62,8 +62,12 @@ def fmt_point(F: GF2n, p: C.Point) -> str:
     return f"({F.format_element(p[0])}, {F.format_element(p[1])})"
 
 
+def fmt_points(F: GF2n, pts: C.PointSet) -> list[str]:
+    return [fmt_point(F, p) for p in sorted(pts)]
+
+
 def fmt_curve_points(F: GF2n, pts: C.PointSet) -> str:
-    return "{" + ", ".join(fmt_point(F, p) for p in sorted(pts)) + "}"
+    return "{" + ", ".join(fmt_points(F, pts)) + "}"
 
 
 def fmt_explicit(F: GF2n, ec: C.ExplicitCurve) -> str:
@@ -82,12 +86,13 @@ def fmt_partition(part: Sequence[Sequence[int]]) -> str:
 
 
 def curve_record(F: GF2n, pts: C.PointSet) -> dict:
+    """Class, ranks, partition and equation of a curve; the JSON record adds
+    `"points": fmt_points(F, pts)`."""
     cls = C.classify_points(F, pts)
     rec = {
         "class": cls.variant,
         "kind": cls.kind,
         "ranks": [cls.rank_alpha, cls.rank_beta],
-        "points": [fmt_point(F, p) for p in sorted(pts)],
         "partition": fmt_partition(P.factorization_partition(F, pts)),
     }
     if cls.kind == "regular":
@@ -96,6 +101,10 @@ def curve_record(F: GF2n, pts: C.PointSet) -> dict:
         ea, eb = C.structural_equations(F, pts)
         rec["structural"] = [_fmt_structural(F, ea, "a"), _fmt_structural(F, eb, "b")]
     return rec
+
+
+def _equation(rec: dict) -> str:
+    return rec.get("explicit") or "; ".join(rec.get("structural", []))
 
 
 def _fmt_structural(F: GF2n, eq: C.StructuralEquation, var: str) -> str:
@@ -197,9 +206,9 @@ def load_seed_curves(F: GF2n, path: str) -> list[C.PointSet]:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
-        raise InputError(f"cannot read seed file {path!r}: {exc}") from None
+        raise InputError(f"cannot read seed file {clip(path)}: {reason(exc)}") from None
     if not isinstance(raw, list):
-        raise InputError(f"seed file {path!r} must hold a JSON list of curves")
+        raise InputError(f"seed file {clip(path)} must hold a JSON list of curves")
     return [parse_explicit(F, entry) if isinstance(entry, str) else _curve_from_pairs(F, entry)
             for entry in raw]
 
@@ -248,14 +257,21 @@ def cmd_curves(args: argparse.Namespace) -> int:
     if n_exc and F.n != 2:
         summary = (f"{len(atlas)} curves: {n_reg} regular, "
                    f"{equal_deg} exceptional(2,2), {n_exc - equal_deg} exceptional(mixed)")
-    lines = [summary]
-    tsv = [["class", "ranks", "partition", "equation", "points"]]
-    for r in records:
-        eqn = r.get("explicit") or "; ".join(r.get("structural", []))
-        lines.append(f"  [{r['class']}] {eqn}  partition {r['partition']}")
-        tsv.append([r["class"], f"{r['ranks'][0]},{r['ranks'][1]}",
-                    r["partition"], eqn, " ".join(r["points"])])
-    _emit(args, lambda: lines, lambda: {"summary": summary, "curves": records}, tsv)
+
+    def text_lines() -> list[str]:
+        return [summary] + [f"  [{r['class']}] {_equation(r)}  partition {r['partition']}"
+                            for r in records]
+
+    def payload() -> dict:
+        return {"summary": summary, "curves": [dict(r, points=fmt_points(F, pts))
+                                               for r, pts in zip(records, atlas)]}
+
+    def tsv_rows() -> list[list[str]]:
+        return [["class", "ranks", "partition", "equation", "points"]] + [
+            [r["class"], f"{r['ranks'][0]},{r['ranks'][1]}", r["partition"], _equation(r),
+             " ".join(fmt_points(F, pts))] for r, pts in zip(records, atlas)]
+
+    _emit(args, text_lines, payload, tsv_rows)
     return 0
 
 
@@ -264,15 +280,15 @@ def cmd_transform(args: argparse.Namespace) -> int:
     pts = parse_curve_arg(F, args.curve)
     image = P.transform_curve(F, pts, parse_ops(args.ops))
     rec = curve_record(F, image)
-    eqn = rec.get("explicit") or "; ".join(rec.get("structural", []))
     lines = [
         f"input: {fmt_curve_points(F, pts)}",
         f"image: {fmt_curve_points(F, image)}",
         f"class: {rec['class']}",
-        f"equation: {eqn}",
+        f"equation: {_equation(rec)}",
         f"partition: {rec['partition']}",
     ]
-    _emit(args, lambda: lines, lambda: {"input": sorted(pts), "image": sorted(image), **rec})
+    _emit(args, lambda: lines, lambda: {"input": sorted(pts), "image": sorted(image),
+                                        "points": fmt_points(F, image), **rec})
     return 0
 
 
@@ -306,8 +322,7 @@ def _report_lines(F: GF2n, bundle: B.Bundle, report: V.BundleReport) -> list[str
     lines = [f"bundle of {len(bundle)} curves over GF(2^{F.n})"]
     for pts in bundle.curves:
         rec = curve_record(F, pts)
-        eqn = rec.get("explicit") or "; ".join(rec.get("structural", []))
-        lines.append(f"  [{rec['class']}] {eqn}  partition {rec['partition']}")
+        lines.append(f"  [{rec['class']}] {_equation(rec)}  partition {rec['partition']}")
     lines += [
         f"structure: {report.structure}",
         f"nonintersecting: {_pf(report.nonintersecting)}",
@@ -327,7 +342,8 @@ def _pf(ok: bool) -> str:
 def _report_payload(F: GF2n, bundle: B.Bundle, report: V.BundleReport) -> dict:
     return {
         "n": F.n,
-        "curves": [curve_record(F, pts) for pts in bundle.curves],
+        "curves": [dict(curve_record(F, pts), points=fmt_points(F, pts))
+                   for pts in bundle.curves],
         "structure": list(report.structure),
         "checks": {
             "nonintersecting": report.nonintersecting,

@@ -35,7 +35,6 @@ from .errors import (
 from .field import (
     GF2n,
     mat_rank_det,
-    mat_solve,
     subgroup_basis,
     subgroup_span,
     trace_orthogonal_complement,
@@ -192,9 +191,13 @@ class CurveClassification:
 
 
 def _is_ray(F: GF2n, pts: PointSet) -> bool:
-    """A ray is stable under field scaling: (a,b) in it implies (la,lb)."""
-    return all((F.mul(lam, a), F.mul(lam, b)) in pts
-               for a, b in pts for lam in F.elements())
+    """A ray is stable under field scaling: (a,b) in it implies (la,lb).
+
+    The d multiples of one nonzero point are d distinct points, so the
+    curve (also d points) is stable exactly when it holds all of them.
+    """
+    a, b = max(pts)
+    return all((F.mul(lam, a), F.mul(lam, b)) in pts for lam in F.elements())
 
 
 def classify_points(F: GF2n, points: Iterable[Point]) -> CurveClassification:
@@ -274,17 +277,24 @@ class ExplicitCurve:
 
 
 def explicit_curve(F: GF2n, points: Iterable[Point]) -> ExplicitCurve:
-    """Explicit form of a regular curve, preferring beta = f(alpha)."""
+    """Explicit form of a regular curve, preferring beta = f(alpha).
+
+    Closed form in the selfdual basis: an additive map is
+    L(x) = sum_k L(theta_k) tr(theta_k x), and tr(y) = sum_m y^(2^m), so
+    phi_m = sum_k L(theta_k) theta_k^(2^m), with O(n^2) multiplications.
+    """
     pts = assert_admissible(F, points)
     for orientation, axis in (("alpha_form", 0), ("beta_form", 1)):
-        if len({p[axis] for p in pts}) != F.order:
-            continue
         value_of = dict(pts) if axis == 0 else {b: a for a, b in pts}
-        basis = subgroup_basis(value_of)
-        rows = [[F.frobenius(x, m) for m in range(F.n)] for x in basis]
-        sol = mat_solve(F, rows, [value_of[x] for x in basis])
-        if sol is not None:
-            return ExplicitCurve(orientation, tuple(sol))
+        if len(value_of) != F.order:
+            continue
+        phi = [0] * F.n
+        for theta in F.selfdual_basis:
+            image, power = value_of[theta], theta
+            for m in range(F.n):
+                phi[m] ^= F.mul(image, power)
+                power = F.mul(power, power)
+        return ExplicitCurve(orientation, tuple(phi))
     raise NoExplicitForm("neither coordinate map is invertible; curve is exceptional")
 
 
@@ -330,21 +340,24 @@ class StructuralEquation:
 
 
 def annihilator(F: GF2n, group: Iterable[int]) -> StructuralEquation:
-    """The monic additive polynomial of degree 2^r whose roots are the group."""
+    """The monic additive polynomial of degree 2^r whose roots are the group.
+
+    Closed form: the subspace polynomial, built over a basis g_1..g_r by
+    P <- P^2 + P(g) P from P = x; each step doubles the roots to the span
+    with g, so the result is prod_{a in group} (x - a), with O(r^2)
+    multiplications.  As P is additive, vanishing on the basis is vanishing
+    on the whole group.
+    """
     basis = subgroup_basis(group)
-    r = len(basis)
-    if r == F.n:
+    if len(basis) == F.n:
         raise NoStructuralEquation("the whole field has no nontrivial annihilator")
-    if r == 0:
-        return StructuralEquation(())
-    rows = [[F.frobenius(a, m) for m in range(r)] for a in basis]
-    rhs = [F.frobenius(a, r) for a in basis]
-    sol = mat_solve(F, rows, rhs)
-    if sol is None:  # pragma: no cover - Moore matrix of a basis is invertible
-        raise NoStructuralEquation("annihilator system is singular")
-    eq = StructuralEquation(tuple(sol))
-    full = subgroup_span(basis)
-    if any(eq.eval(F, a) != 0 for a in full):  # pragma: no cover
+    coeffs = [1]            # c[m] of x^(2^m), monic term last
+    for g in basis:
+        value = _additive_eval(F, coeffs, g)
+        squares = [0] + [F.mul(c, c) for c in coeffs]
+        coeffs = [s ^ F.mul(value, c) for s, c in zip(squares, coeffs + [0])]
+    eq = StructuralEquation(tuple(coeffs[:-1]))
+    if any(eq.eval(F, g) for g in basis):  # pragma: no cover
         raise NoStructuralEquation("annihilator fails on the subgroup")
     return eq
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and `clip` for their messages."""
+"""Exception types shared across the package, and `clip` and `reason` for
+their messages."""
 
 
 class MubcError(Exception):
@@ -9,6 +10,12 @@ def clip(value: object) -> str:
     """repr of user input for a one-line error message, cut after 80 characters."""
     text = repr(value)
     return text if len(text) <= 80 else text[:80] + "..."
+
+
+def reason(exc: Exception) -> str:
+    """Why a file could not be read or written, without the path that the
+    text of an OSError repeats."""
+    return exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
 
 
 class UnsupportedDegree(MubcError):

@@ -23,6 +23,7 @@ from .errors import (
     SingularBasis,
     UnsupportedDegree,
     clip,
+    reason,
 )
 
 MAX_DEGREE = 5
@@ -340,9 +341,9 @@ def load_field_config(path: str) -> dict[int, dict]:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
-        raise InputError(f"cannot read field config {path!r}: {exc}") from None
+        raise InputError(f"cannot read field config {clip(path)}: {reason(exc)}") from None
     if not isinstance(raw, dict):
-        raise InputError(f"field config {path!r} must be a JSON object keyed by degree")
+        raise InputError(f"field config {clip(path)} must be a JSON object keyed by degree")
     presets = {}
     for key, entry in raw.items():
         try:

@@ -9,13 +9,14 @@ orthogonal; an admissible curve therefore labels a maximal commuting set.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError, clip
 from .curves import Point, PointSet, assert_admissible, point_generators, symplectic_trace
-from .field import GF2n
+from .field import GF2n, subgroup_basis
 
 _GLYPHS = {(0, 0): "1", (1, 0): "Z", (0, 1): "X", (1, 1): "Y"}
 
@@ -70,30 +71,43 @@ def _set_partitions(items: Sequence[int]) -> Iterable[list[list[int]]]:
         yield [[first]] + part
 
 
+@functools.cache
+def _partition_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+    """(qubit masks, output blocks) of every set partition of n qubits.
+
+    Stably sorted by decreasing block count, so among partitions with equal
+    counts the `_set_partitions` order is kept; the blocks are 1-based and
+    sorted by (size, qubits).  Built on first use, once per degree.
+    """
+    table = []
+    for part in sorted(_set_partitions(list(range(n))), key=lambda p: -len(p)):
+        masks = tuple(sum(1 << (n - 1 - q) for q in block) for block in part)
+        blocks = sorted((sorted(q + 1 for q in block) for block in part),
+                        key=lambda b: (len(b), b))
+        table.append((masks, tuple(tuple(b) for b in blocks)))
+    return tuple(table)
+
+
 def factorization_partition(F: GF2n,
                             points: Iterable[Point]) -> tuple[tuple[int, ...], ...]:
     """Finest qubit partition whose blocks factor the curve's commuting set.
 
     Returned as a tuple of 1-based qubit index tuples, coarsest block last;
     (1,)(2,)...(n,) means the basis is a product of single-qubit states and
-    ((1, ..., n),) means it is fully entangled.
+    ((1, ..., n),) means it is fully entangled.  Of several finest ones,
+    the first in `_set_partitions` order.
 
     A block carries a commuting tensor factor when every generator pair's
     clash word (z1 & x2) ^ (z2 & x1) has even parity on its qubit mask.
+    The parity is linear in the word, so a basis of the clash words will do.
     """
     words = F.coord_bits
     gens = [(words[a], words[b]) for a, b in point_generators(F, assert_admissible(F, points))]
-    clashes = [(z1 & x2) ^ (z2 & x1) for (z1, x1), (z2, x2) in itertools.combinations(gens, 2)]
-    best: Optional[list[list[int]]] = None
-    for part in _set_partitions(list(range(F.n))):
-        masks = [sum(1 << (F.n - 1 - q) for q in block) for block in part]
-        if not any((c & m).bit_count() & 1 for c in clashes for m in masks):
-            if best is None or len(part) > len(best):
-                best = part
-    assert best is not None  # the single-block partition is always valid
-    blocks = sorted((sorted(q + 1 for q in block) for block in best),
-                    key=lambda b: (len(b), b))
-    return tuple(tuple(b) for b in blocks)
+    clashes = subgroup_basis((z1 & x2) ^ (z2 & x1)
+                             for (z1, x1), (z2, x2) in itertools.combinations(gens, 2))
+    # the last entry, one block, is always valid: the curve is isotropic
+    return next(blocks for masks, blocks in _partition_table(F.n)
+                if not any((c & m).bit_count() & 1 for c in clashes for m in masks))
 
 
 def canonical_partition_types(n: int) -> list[tuple[int, ...]]:

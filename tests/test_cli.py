@@ -328,6 +328,25 @@ class TestMalformedInput:
         out = tmp_path / "no-such-dir" / "x.txt" if target == "missing-dir" else tmp_path
         self.assert_input_error(capsys, *argv, "--out", str(out))
 
+    @pytest.mark.parametrize("where", ["out", "seed", "seed-not-list", "config",
+                                       "config-not-object"])
+    def test_long_path_is_named_once(self, capsys, tmp_path, monkeypatch, where):
+        directory = tmp_path / ("d" * (189 - len(str(tmp_path))))
+        path = directory / "file.json"
+        assert len(str(path)) == 200
+        if where.endswith("-not-list") or where.endswith("-not-object"):
+            directory.mkdir()
+            path.write_text("5")
+        argv = ["verify", "--n", "2"]
+        if where == "out":
+            argv += ["--out", str(path)]
+        elif where.startswith("seed"):
+            argv += ["--seed", str(path)]
+        else:
+            monkeypatch.setenv(cli.ENV_FIELD_CONFIG, str(path))
+        err = self.assert_input_error(capsys, *argv)
+        assert len(err.encode()) < 200 and err.count(str(path)[:60]) == 1
+
     @pytest.mark.parametrize("argv", [
         ("curves", "--n", "5"), ("bundle", "--n", "5", "--strategy", "search"),
         ("verify", "--n", "5", "--strategy", "search", "--format", "json")],

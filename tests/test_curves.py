@@ -17,10 +17,14 @@ from mubcurves.errors import (
     NotAnAdmissibleCurve,
     NotCommutative,
 )
+import mubcurves
 from mubcurves import bundles as B
 from mubcurves import cli
 from mubcurves import curves as C
-from mubcurves.field import make_field, modulus_from_bits, subgroup_basis
+from mubcurves import field as FLD
+from mubcurves import pauli as P
+from mubcurves import verify as V
+from mubcurves.field import make_field, mat_solve, modulus_from_bits, subgroup_basis
 
 F4 = make_field(2)
 F8 = make_field(3)
@@ -628,4 +632,97 @@ class TestValidatedCurve:
         seed = frozenset(C.enumerate_curves(F8)[17])
         bundles = B.search_bundles(F8, [seed], limit=sys.maxsize)
         assert len(bundles) == 64 and full_checks == [seed]
+        capsys.readouterr()
+
+
+# every atlas at n = 1..4, under the default modulus and one other for n >= 3
+ORACLE_FIELDS = [make_field(n, modulus_from_bits(bits) if bits else None)
+                 for n, bits in ((1, None), (2, None), (3, None), (3, "1101"),
+                                 (4, None), (4, "11001"))]
+ORACLE_IDS = ["n1", "n2", "n3", "n3-1101", "n4", "n4-11001"]
+
+
+def moore_explicit(F, pts):
+    """The Moore-matrix route: solve sum_m phi_m x^(2^m) = L(x) on a basis
+    of the invertible axis; None when neither axis is invertible."""
+    for orientation, axis in (("alpha_form", 0), ("beta_form", 1)):
+        if len({p[axis] for p in pts}) != F.order:
+            continue
+        value_of = dict(pts) if axis == 0 else {b: a for a, b in pts}
+        basis = subgroup_basis(value_of)
+        rows = [[F.frobenius(x, m) for m in range(F.n)] for x in basis]
+        phi = mat_solve(F, rows, [value_of[x] for x in basis])
+        return C.ExplicitCurve(orientation, tuple(phi))
+    return None
+
+
+def moore_annihilator(F, group):
+    """Coefficients c of the monic x^(2^r) + sum_m c_m x^(2^m) vanishing on
+    a basis of the group, from the r x r Moore system."""
+    basis = subgroup_basis(group)
+    r = len(basis)
+    rows = [[F.frobenius(a, m) for m in range(r)] for a in basis]
+    return tuple(mat_solve(F, rows, [F.frobenius(a, r) for a in basis]))
+
+
+def scaling_closed(F, pts):
+    """(a, b) in the curve implies (la, lb) for every l: all d^2 products."""
+    return all((F.mul(lam, a), F.mul(lam, b)) in pts for a, b in pts for lam in F.elements())
+
+
+class TestClosedForms:
+    """The closed forms behind `curve_record` against the routes they replaced."""
+
+    @pytest.mark.parametrize("F", ORACLE_FIELDS, ids=ORACLE_IDS)
+    def test_explicit_curve_against_moore_system(self, F):
+        for pts in C.enumerate_curves(F):
+            want = moore_explicit(F, pts)
+            if want is None:
+                with pytest.raises(NoExplicitForm):
+                    C.explicit_curve(F, pts)
+                continue
+            got = C.explicit_curve(F, pts)
+            assert got == want
+            assert all(got.holds(F, p) for p in pts)
+
+    @pytest.mark.parametrize("F", ORACLE_FIELDS, ids=ORACLE_IDS)
+    def test_annihilator_against_moore_system(self, F):
+        for pts in C.enumerate_curves(F):
+            for axis in (0, 1):
+                group = {p[axis] for p in pts}
+                if len(group) == F.order:
+                    with pytest.raises(NoStructuralEquation):
+                        C.annihilator(F, group)
+                    continue
+                eq = C.annihilator(F, group)
+                assert eq.coeffs == moore_annihilator(F, group)
+                assert {x for x in F.elements() if eq.eval(F, x) == 0} == group
+
+    @pytest.mark.parametrize("F", ORACLE_FIELDS, ids=ORACLE_IDS)
+    def test_is_ray_against_scaling_closure(self, F):
+        rays = [pts for pts in C.enumerate_curves(F) if C._is_ray(F, pts)]
+        assert rays == [pts for pts in C.enumerate_curves(F) if scaling_closed(F, pts)]
+        assert len(rays) == F.order + 1
+
+    def test_curves_command_work_counts(self, capsys, monkeypatch):
+        """No Moore system is solved, and the partition table of a degree is
+        built once: `_set_partitions` is entered at qubit 0 once per build."""
+        solves, builds = [], []
+        solve, partitions = FLD.mat_solve, P._set_partitions
+        for mod in (mubcurves, FLD, C, P, V, B, cli):
+            if getattr(mod, "mat_solve", None) is solve:
+                monkeypatch.setattr(mod, "mat_solve",
+                                    lambda *args: solves.append(args) or solve(*args))
+
+        def counted(items):
+            if list(items[:1]) == [0]:
+                builds.append(len(items))
+            return partitions(items)
+
+        monkeypatch.setattr(P, "_set_partitions", counted)
+        P._partition_table.cache_clear()
+        assert cli.main(["curves", "--n", "4"]) == 0
+        assert cli.main(["curves", "--n", "4", "--modulus", "11001"]) == 0
+        assert cli.main(["curves", "--n", "3"]) == 0
+        assert solves == [] and builds == [4, 3]
         capsys.readouterr()

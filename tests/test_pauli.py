@@ -9,7 +9,7 @@ import pytest
 from mubcurves.errors import InputError
 from mubcurves import curves as C
 from mubcurves import pauli as P
-from mubcurves.field import make_field
+from mubcurves.field import make_field, modulus_from_bits
 
 F4 = make_field(2)
 F8 = make_field(3)
@@ -189,6 +189,49 @@ class TestLocalTransforms:
                             nxt.add(image)
             frontier = nxt
         assert seen == set(C.enumerate_curves(F4))
+
+
+def exhaustive_partitions(F, pts):
+    """Every finest valid partition from a scan of all set partitions: a
+    block is valid when each generator pair's clash word has even parity on
+    its qubit mask."""
+    words = F.coord_bits
+    gens = [(words[a], words[b]) for a, b in C.point_generators(F, pts)]
+    clashes = [(z1 & x2) ^ (z2 & x1) for (z1, x1), (z2, x2) in itertools.combinations(gens, 2)]
+    valid = [part for part in P._set_partitions(list(range(F.n)))
+             if not any((c & sum(1 << (F.n - 1 - q) for q in block)).bit_count() & 1
+                        for c in clashes for block in part)]
+    finest = max(len(part) for part in valid)
+    return [tuple(tuple(b) for b in sorted((sorted(q + 1 for q in block) for block in part),
+                                           key=lambda b: (len(b), b)))
+            for part in valid if len(part) == finest]
+
+
+ORACLE_FIELDS = [make_field(n, modulus_from_bits(bits) if bits else None)
+                 for n, bits in ((1, None), (2, None), (3, None), (3, "1101"),
+                                 (4, None), (4, "11001"))]
+
+
+class TestPartitionTable:
+    @pytest.mark.parametrize("F", ORACLE_FIELDS,
+                             ids=["n1", "n2", "n3", "n3-1101", "n4", "n4-11001"])
+    def test_against_exhaustive_scan(self, F):
+        for pts in C.enumerate_curves(F):
+            finest = exhaustive_partitions(F, pts)
+            # one finest partition per curve, so the tie-break never shows
+            assert finest == [P.factorization_partition(F, pts)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_generation_order_kept_among_equal_block_counts(self, n):
+        parts = list(P._set_partitions(list(range(n))))
+        ordered = [part for k in range(n, 0, -1) for part in parts if len(part) == k]
+        table = P._partition_table(n)
+        assert len(table) == [1, 2, 5, 15, 52][n - 1]
+        assert [masks for masks, _ in table] == [
+            tuple(sum(1 << (n - 1 - q) for q in block) for block in part) for part in ordered]
+        for (_, blocks), part in zip(table, ordered):
+            assert sorted(blocks) == sorted(tuple(q + 1 for q in block) for block in part)
+            assert list(blocks) == sorted(blocks, key=lambda b: (len(b), b))
 
 
 class TestBundleStructureSignature:
