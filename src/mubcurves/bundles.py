@@ -7,14 +7,15 @@ d + 1 mutually unbiased bases.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import EmptyResult, InputError, NotCommutative
 from .curves import (
     Curve,
-    Point,
     PointSet,
     all_nonintersecting,
     assert_admissible,
@@ -110,49 +111,57 @@ def closure_bundle(F: GF2n, seeds: Sequence[Sequence[int]]) -> Bundle:
     return make_bundle(F, curves)
 
 
+class _SearchGraph(NamedTuple):
+    """One field's clique graph; point (a, b) is bit a << n | b of an int."""
+    atlas: list[Curve]
+    index: dict[Curve, int]  # curve -> atlas index
+    points: list[int]        # points[i]: the points of curve i
+    through: list[int]       # through[p]: the curves through the nonzero point p
+    later: list[int]         # later[i]: the curves after i that meet it only at the origin
+
+
+@functools.lru_cache(maxsize=4)
+def _search_graph(F: GF2n) -> _SearchGraph:
+    atlas = enumerate_curves(F)
+    through = [0] * (F.order * F.order)
+    for i, c in enumerate(atlas):
+        for a, b in c:
+            through[a << F.n | b] |= 1 << i
+    through[0] = 0
+    later = [(1 << len(atlas)) - (2 << i) & ~functools.reduce(
+        operator.or_, (through[a << F.n | b] for a, b in c)) for i, c in enumerate(atlas)]
+    return _SearchGraph(atlas, {c: i for i, c in enumerate(atlas)},
+                        [sum(1 << (a << F.n | b) for a, b in c) for c in atlas], through, later)
+
+
 def search_bundles(F: GF2n, seed_curves: Optional[Sequence[PointSet]] = None,
                    limit: int = 1) -> list[Bundle]:
     """Backtracking completion of seeds to full bundles over the curve atlas.
 
     A bundle is a maximal clique of the "meets only at the origin" graph on
-    the atlas.  Curves and their adjacency are int bitsets (bit i is atlas
-    curve i), and candidates are tried in ascending atlas order, so the
-    output is deterministic.  Raises EmptyResult when no completion exists.
-    The adjacency takes M^2/8 bytes for an atlas of M curves, about 717 MB
-    for the 75,735 curves at n = 5, so n > 4 raises InputError up front.
+    the atlas and an exact cover of the nonzero points.  Curves and their
+    adjacency are int bitsets (bit i is atlas curve i); candidates are tried
+    in ascending atlas order, and a branch ends once none passes through its
+    lowest uncovered point.  Raises EmptyResult when no completion exists.
+    The last 4 fields' graphs (atlas, curve index, point masks, curves per
+    point, adjacency) stay cached, about 3 MB at n = 4.  The adjacency takes
+    M^2/8 bytes for M curves, about 717 MB for the 75,735 curves at n = 5,
+    so n > 4 raises InputError up front.
     """
     require_enumerable(F)
     if limit < 1:
         raise InputError("limit must be positive")
-    atlas = enumerate_curves(F)
     seeds = [assert_admissible(F, c) for c in (seed_curves or [])]
     if not all_nonintersecting(seeds):
         raise InputError("seed curves intersect away from the origin")
-    need = F.order + 1
-    # through[p]: the curves through the nonzero point p
-    through: dict[Point, int] = {}
-    for i, c in enumerate(atlas):
-        for p in c:
-            through[p] = through.get(p, 0) | 1 << i
-    del through[(0, 0)]
-
-    def meeting(c: PointSet) -> int:
-        """The atlas curves that share a nonzero point with c."""
-        out = 0
-        for p in c:
-            out |= through.get(p, 0)
-        return out
-
-    everything = (1 << len(atlas)) - 1
-    # later[i]: the curves after curve i that meet it only at the origin
-    later = [everything & ~meeting(c) & ~((2 << i) - 1) for i, c in enumerate(atlas)]
-    start = everything
-    for c in seeds:
-        start &= ~meeting(c)
+    g = _search_graph(F)
+    covered = functools.reduce(operator.or_, (g.points[g.index[c]] for c in seeds), 1)
+    # the curves that meet the seeds only at the origin (bit 0)
+    start = sum(1 << i for i, pts in enumerate(g.points) if pts & covered == 1)
     found: list[Bundle] = []
-    for chosen in _completions(later, need, [atlas.index(c) for c in seeds], start):
+    for chosen in _completions(g, F.order + 1, [g.index[c] for c in seeds], start, covered):
         # the atlas is in canonical order, so sorted indices give a canonical bundle
-        found.append(Bundle(tuple(atlas[i] for i in sorted(chosen))))
+        found.append(Bundle(tuple(g.atlas[i] for i in sorted(chosen))))
         if len(found) >= limit:
             break
     if not found:
@@ -160,22 +169,27 @@ def search_bundles(F: GF2n, seed_curves: Optional[Sequence[PointSet]] = None,
     return found
 
 
-def _completions(later: Sequence[int], need: int, chosen: list[int],
-                 cand: int) -> Iterator[list[int]]:
-    """Each way to complete the atlas indices `chosen` to `need` curves from
-    the candidate bitset `cand`, lowest atlas index first."""
+def _completions(g: _SearchGraph, need: int, chosen: list[int], cand: int,
+                 covered: int) -> Iterator[list[int]]:
+    """Each way to complete the atlas indices `chosen`, whose points are
+    `covered`, to `need` curves from the candidate bitset `cand`, lowest
+    atlas index first."""
     if len(chosen) == need:
         yield chosen
         return
+    # a completion covers the lowest uncovered point with a candidate curve
+    hits = g.through[(~covered & (covered + 1)).bit_length() - 1]
     # stop once fewer candidates remain than curves are missing
-    while cand and cand.bit_count() >= need - len(chosen):
+    while cand & hits and cand.bit_count() >= need - len(chosen):
         low = cand & -cand
         cand ^= low
         i = low.bit_length() - 1
-        yield from _completions(later, need, chosen + [i], cand & later[i])
+        yield from _completions(g, need, chosen + [i], cand & g.later[i],
+                                covered | g.points[i])
 
 
 def orphan_curves(F: GF2n, bundles: Sequence[Bundle]) -> list[Curve]:
     """Curves of the atlas not covered by any of the given bundles."""
+    require_enumerable(F)
     covered = {c for b in bundles for c in b.curves}
-    return [c for c in enumerate_curves(F) if c not in covered]
+    return [c for c in _search_graph(F).atlas if c not in covered]

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import collections
+import hashlib
 import itertools
 
+import networkx as nx
 import pytest
 
 from mubcurves.errors import EmptyResult, InputError, NotCommutative
 from mubcurves import bundles as B
 from mubcurves import curves as C
 from mubcurves import pauli as P
-from mubcurves.field import make_field
+from mubcurves.field import make_field, modulus_from_bits
 
 F4 = make_field(2)
 F8 = make_field(3)
@@ -287,3 +290,100 @@ class TestBitsetSearchOracle:
     @pytest.mark.parametrize("F", [F4, F8], ids=["n2", "n3"])
     def test_unseeded_limits(self, F, limit):
         self.assert_matches(F, [], limit)
+
+
+class TestSearchPrune:
+    """The covered-point prune ends only branches that hold no bundle, so
+    the search returns what the unpruned search did, in the same order."""
+
+    # sha256 of repr() of the atlas-index tuples of the first 200 n = 4
+    # bundles under the default modulus, computed at commit 243554c, whose
+    # search had neither the covered-point prune nor the per-field graph
+    FIRST_200_N4 = "d9564b87b5caf6bf63344d32f2bab79507db91ffbda6eb6a217c4547eb1f4d75"
+
+    def test_first_200_n4_bundles_pinned(self):
+        F = make_field(4)
+        index = {c: i for i, c in enumerate(C.enumerate_curves(F))}
+        got = tuple(tuple(index[c] for c in b.curves) for b in B.search_bundles(F, limit=200))
+        assert len(got) == 200
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == self.FIRST_200_N4
+
+    def test_n3_exhaustive_equals_networkx_cliques(self):
+        atlas = C.enumerate_curves(F8)
+        g = nx.Graph()
+        g.add_nodes_from(range(len(atlas)))
+        g.add_edges_from((i, j) for i, j in itertools.combinations(range(len(atlas)), 2)
+                         if C.nonintersecting(atlas[i], atlas[j]))
+        cliques = {frozenset(atlas[i] for i in q) for q in nx.find_cliques(g)
+                   if len(q) == F8.order + 1}
+        got = [frozenset(b.curves) for b in B.search_bundles(F8, limit=10 ** 6)]
+        assert len(got) == len(set(got)) == 960
+        assert set(got) == cliques
+
+    def test_n3_structure_histogram(self):
+        got = collections.Counter(P.bundle_structure(F8, b.curves)
+                                  for b in B.search_bundles(F8, limit=10 ** 6))
+        assert got == {(2, 3, 4): 648, (1, 6, 2): 216, (3, 0, 6): 72, (0, 9, 0): 24}
+
+    def test_lowest_uncovered_point_on_no_candidate(self, monkeypatch):
+        # 32 curves meet these 5 seeds only at the origin, more than the 12
+        # still missing, but none passes through the lowest uncovered point
+        F = make_field(4)
+        atlas = C.enumerate_curves(F)
+        seeds = [atlas[i] for i in (11, 667, 876, 1377, 2130)]
+        assert C.all_nonintersecting(seeds)
+        cand = [c for c in atlas if all(C.nonintersecting(c, s) for s in seeds)]
+        assert len(cand) == 32
+        covered = frozenset().union(*seeds)
+        low = min((a, b) for a in F.elements() for b in F.elements() if (a, b) not in covered)
+        assert not any(low in c for c in cand)
+        assert reference_search(F, seeds, 10 ** 6) == []
+        calls = []
+        completions = B._completions
+
+        def counted(*args):
+            calls.append(args)
+            return completions(*args)
+        monkeypatch.setattr(B, "_completions", counted)
+        with pytest.raises(EmptyResult):
+            B.search_bundles(F, seeds)
+        assert len(calls) == 1  # the root: no candidate is tried
+
+
+class TestSearchGraphCache:
+    def test_equal_fields_share_one_graph(self, monkeypatch):
+        B._search_graph.cache_clear()
+        built = []
+        enumerate_curves = C.enumerate_curves
+        monkeypatch.setattr(B, "enumerate_curves", lambda F: built.append(F) or enumerate_curves(F))
+        first = B.search_bundles(make_field(3), limit=4)
+        assert B.search_bundles(make_field(3), limit=4) == first
+        assert len(built) == 1
+        assert B._search_graph(make_field(3)) is B._search_graph(make_field(3))
+
+    def test_orphan_curves_read_the_cached_atlas(self, monkeypatch):
+        all_bundles = B.search_bundles(F4, limit=10 ** 6)
+
+        def no_enumeration(F):
+            raise AssertionError("orphan_curves enumerated the atlas again")
+        monkeypatch.setattr(B, "enumerate_curves", no_enumeration)
+        assert B.orphan_curves(F4, all_bundles) == []
+        with pytest.raises(InputError, match=r"^curve enumeration supported for n <= 4$"):
+            B.orphan_curves(make_field(5), [])
+
+    def test_cache_is_bounded(self):
+        for F in (make_field(1), F4, make_field(3, modulus_from_bits("1101")), F8,
+                  make_field(4)):
+            B.search_bundles(F)
+        assert B._search_graph.cache_info().currsize == 4
+
+    def test_n4_moduli_give_different_atlases(self):
+        a, b = (B._search_graph(make_field(4, modulus_from_bits(m))).atlas
+                for m in ("10011", "11001"))
+        assert len(a) == len(b) == C.atlas_size(4)
+        assert a != b
+
+    @pytest.mark.parametrize("bits", ["10011", "11001"])
+    def test_n4_moduli_match_the_reference(self, bits):
+        F = make_field(4, modulus_from_bits(bits))
+        assert [b.curves for b in B.search_bundles(F, limit=3)] == reference_search(F, [], 3)
