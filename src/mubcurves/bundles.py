@@ -123,15 +123,22 @@ class _SearchGraph(NamedTuple):
 @functools.lru_cache(maxsize=4)
 def _search_graph(F: GF2n) -> _SearchGraph:
     atlas = enumerate_curves(F)
-    through = [0] * (F.order * F.order)
-    for i, c in enumerate(atlas):
-        for a, b in c:
-            through[a << F.n | b] |= 1 << i
+    packed = [[a << F.n | b for a, b in c] for c in atlas]
+    points, through = [], [0] * (F.order * F.order)
+    for i, pts in enumerate(packed):
+        bit, mask = 1 << i, 0
+        for p in pts:
+            through[p] |= bit
+            mask |= 1 << p
+        points.append(mask)
     through[0] = 0
-    later = [(1 << len(atlas)) - (2 << i) & ~functools.reduce(
-        operator.or_, (through[a << F.n | b] for a, b in c)) for i, c in enumerate(atlas)]
-    return _SearchGraph(atlas, {c: i for i, c in enumerate(atlas)},
-                        [sum(1 << (a << F.n | b) for a, b in c) for c in atlas], through, later)
+    later, top = [], 1 << len(atlas)
+    for i, pts in enumerate(packed):
+        meets = 0
+        for p in pts:
+            meets |= through[p]
+        later.append(top - (2 << i) & ~meets)
+    return _SearchGraph(atlas, {c: i for i, c in enumerate(atlas)}, points, through, later)
 
 
 def search_bundles(F: GF2n, seed_curves: Optional[Sequence[PointSet]] = None,

@@ -119,17 +119,30 @@ def point_generators(F: GF2n, pts: Iterable[Point]) -> list[Point]:
 
 class Curve(frozenset):
     """The point set of an admissible curve, validated once for `field` by
-    `assert_admissible` or built admissible by `enumerate_curves`.  Set
-    operations on a Curve give plain frozensets, which are checked afresh."""
+    `assert_admissible` or built admissible by `enumerate_curves`.  `gens`
+    holds n points that span it, packed as a << n | b like
+    `point_generators`; whatever does not depend on the choice of basis
+    (ranks, projections, clash words) is read from them.  Set operations on
+    a Curve give plain frozensets, which are checked afresh."""
 
-    __slots__ = ("field",)
+    __slots__ = ("field", "gens")
 
 
-def _trusted(F: GF2n, points: Iterable[Point]) -> Curve:
-    """A Curve for F without any check: for points admissible by construction."""
+def _trusted(F: GF2n, points: Iterable[Point], gens: Iterable[int]) -> Curve:
+    """A Curve for F without any check: for points admissible by
+    construction, spanned by the packed points `gens`."""
     curve = Curve(points)
     curve.field = F
+    curve.gens = tuple(gens)
     return curve
+
+
+def projection_generators(F: GF2n, curve: Curve) -> tuple[list[int], list[int]]:
+    """The alpha and the beta halves of a Curve's generators: each list
+    spans that projection of the curve, and paired by index they are the
+    generators as points."""
+    low = F.order - 1
+    return [g >> F.n for g in curve.gens], [g & low for g in curve.gens]
 
 
 def is_admissible(F: GF2n, points: Iterable[Point]) -> bool:
@@ -158,7 +171,7 @@ def assert_admissible(F: GF2n, points: Iterable[Point]) -> Curve:
             f"point set of size {len(pts)} is not an additive subgroup of order {F.order}")
     if not is_commutative(F, gens):
         raise NotCommutative("point set is not isotropic under the symplectic trace form")
-    return _trusted(F, pts)
+    return _trusted(F, pts, (a << F.n | b for a, b in gens))
 
 
 # -- W matrices, rank and degeneracy -------------------------------------------
@@ -203,14 +216,14 @@ def _is_ray(F: GF2n, pts: PointSet) -> bool:
 def classify_points(F: GF2n, points: Iterable[Point]) -> CurveClassification:
     """Regular vs exceptional, with the per-axis ranks and degeneracies.
 
-    The ranks are the dimensions of the two projections.  Regular means at
-    least one of them is the whole field (its parametrising additive map is
-    a bijection); exceptional means both are singular while the curve
-    itself still has 2^n distinct points.
+    The ranks are the dimensions of the two projections, read off the
+    curve's n generators.  Regular means at least one of them is the whole
+    field (its parametrising additive map is a bijection); exceptional
+    means both are singular while the curve itself still has 2^n distinct
+    points.
     """
     pts = assert_admissible(F, points)
-    ra = len(subgroup_basis({a for a, _ in pts}))
-    rb = len(subgroup_basis({b for _, b in pts}))
+    ra, rb = (len(subgroup_basis(half)) for half in projection_generators(F, pts))
     if ra == F.n and rb == F.n:
         variant = "RegularBoth"
     elif ra == F.n:
@@ -340,7 +353,8 @@ class StructuralEquation:
 
 
 def annihilator(F: GF2n, group: Iterable[int]) -> StructuralEquation:
-    """The monic additive polynomial of degree 2^r whose roots are the group.
+    """The monic additive polynomial of degree 2^r whose roots are the
+    subgroup spanned by `group` (a generating set will do).
 
     Closed form: the subspace polynomial, built over a basis g_1..g_r by
     P <- P^2 + P(g) P from P = x; each step doubles the roots to the span
@@ -362,27 +376,35 @@ def annihilator(F: GF2n, group: Iterable[int]) -> StructuralEquation:
     return eq
 
 
-def trace_witness(F: GF2n, group: Iterable[int]) -> int:
-    """xi with tr(xi x) = 0 exactly on a corank-1 subgroup: its complement is {0, xi}."""
-    gens = subgroup_basis(group)
-    if len(gens) != F.n - 1:
+def trace_witness(F: GF2n, eq: StructuralEquation) -> int:
+    """xi with tr(xi x) = 0 exactly on the roots H of a corank-1 annihilator.
+
+    Closed form: tr(xi x) = sum_m xi^(2^m) x^(2^m) has degree 2^(n-1) and
+    vanishes on H, so it is xi^(2^(n-1)) times the monic annihilator, whose
+    coefficients are then c_m = xi^(2^m - 2^(n-1)); hence xi = c_1 / c_0,
+    with c_(n-1) = 1 the monic term.  At n = 1, H = {0} and xi = 1.
+    """
+    if eq.rank != F.n - 1:
         raise NoStructuralEquation(
-            f"trace witness needs a corank-1 subgroup, got size {1 << len(gens)}")
-    return max(trace_orthogonal_complement(F, gens))
+            f"trace witness needs a corank-1 subgroup, got size {1 << eq.rank}")
+    if F.n == 1:
+        return 1
+    coeffs = eq.coeffs + (1,)
+    return F.div(coeffs[1], coeffs[0])
 
 
 def structural_equations(
         F: GF2n, points: Iterable[Point]
 ) -> tuple[StructuralEquation, StructuralEquation]:
-    """Annihilators of the alpha- and beta-projections, with trace witnesses
-    attached when the corresponding degeneracy is exactly 2."""
+    """Annihilators of the alpha- and beta-projections, spanned by the halves
+    of the curve's generators, with trace witnesses attached when the
+    corresponding degeneracy is exactly 2."""
     pts = assert_admissible(F, points)
     out = []
-    for axis in (0, 1):
-        proj = {p[axis] for p in pts}
-        eq = annihilator(F, proj)
-        if len(proj) == F.order // 2:
-            eq = StructuralEquation(eq.coeffs, trace_witness(F, proj))
+    for half in projection_generators(F, pts):
+        eq = annihilator(F, half)
+        if eq.rank == F.n - 1:
+            eq = StructuralEquation(eq.coeffs, trace_witness(F, eq))
         out.append(eq)
     return out[0], out[1]
 
@@ -469,22 +491,31 @@ def enumerate_curves(F: GF2n, kind: Optional[str] = None) -> list[Curve]:
 
     Each curve is built once from its (A, M) parameters (see the module
     docstring), so none needs an admissibility test or a duplicate check.
+    Its generators are a basis of T as (0, t), then (a_j, f_M(a_j)).
     `kind` keeps only the "regular" or only the "exceptional" curves.
     """
     # one tuple per phase-space point, shared by every curve through it:
     # half the memory of a tuple per curve and point at n = 4
     plane = [[(x, y) for y in F.elements()] for x in F.elements()]
+    low = F.order - 1
     curves: list[Curve] = []
     for r in range(F.n + 1):
         for basis in _subspace_bases(F.n, r):
-            # T pairs to 0 with A; the dual lift g_i (tr(a_j g_i) = delta_ij)
-            # is the first x that pairs to the unit word 1 << i
-            pairing = trace_pairing(F, basis)
-            T = [t for t, word in enumerate(pairing) if not word]
-            g = [pairing.index(1 << i) for i in range(r)]
-            # (f_M(a_1), ..., f_M(a_r)) for every symmetric M, doubling the
-            # list once per entry pair M_ij = M_ji
-            images = [(0,) * r]
+            # the unit words off the pivots complete A's echelon basis to a
+            # basis of the field; its dual basis is the lifts g_i
+            # (tr(a_j g_i) = delta_ij), then a basis of T, which pairs to 0
+            # with A
+            pivots = [a.bit_length() - 1 for a in basis]
+            full = basis + tuple(1 << q for q in range(F.n) if q not in pivots)
+            pairing = trace_pairing(F, full)
+            dual = [pairing.index(1 << i) for i in range(F.n)]
+            g, t_gens = dual[:r], tuple(dual[r:])
+            on_a = (1 << r) - 1
+            T = [t for t, word in enumerate(pairing) if not word & on_a]
+            # the packed generators (a_1, f_M(a_1)), ..., (a_r, f_M(a_r)) for
+            # every symmetric M, doubling the list once per entry pair
+            # M_ij = M_ji; a step changes only the f_M halves
+            images = [tuple(a << F.n for a in basis)]
             for i in range(r):
                 for j in range(i, r):
                     step = [0] * r
@@ -494,9 +525,10 @@ def enumerate_curves(F: GF2n, kind: Optional[str] = None) -> list[Curve]:
             fibre = [plane[0][t] for t in T]
             for f in images:
                 pts = fibre
-                for a, fa in zip(basis, f):
+                for gen in f:
+                    a, fa = gen >> F.n, gen & low
                     pts = pts + [plane[x ^ a][y ^ fa] for x, y in pts]
-                curve = _trusted(F, pts)
+                curve = _trusted(F, pts, t_gens + f)
                 if kind is None or kind == _kind(F, r, curve):
                     curves.append(curve)
     return sorted(curves, key=sorted)

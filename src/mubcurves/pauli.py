@@ -15,8 +15,14 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InputError, clip
-from .curves import Point, PointSet, assert_admissible, point_generators, symplectic_trace
-from .field import GF2n, subgroup_basis
+from .curves import (
+    Point,
+    PointSet,
+    assert_admissible,
+    projection_generators,
+    symplectic_trace,
+)
+from .field import GF2n
 
 _GLYPHS = {(0, 0): "1", (1, 0): "Z", (0, 1): "X", (1, 1): "Y"}
 
@@ -88,6 +94,15 @@ def _partition_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ..
     return tuple(table)
 
 
+@functools.cache
+def _partition_validity(n: int) -> tuple[int, ...]:
+    """Entry w: bit i is set when the word w has even parity on every block
+    of partition i of `_partition_table(n)`."""
+    return tuple(sum(1 << i for i, (masks, _) in enumerate(_partition_table(n))
+                     if not any((w & m).bit_count() & 1 for m in masks))
+                 for w in range(1 << n))
+
+
 def factorization_partition(F: GF2n,
                             points: Iterable[Point]) -> tuple[tuple[int, ...], ...]:
     """Finest qubit partition whose blocks factor the curve's commuting set.
@@ -99,15 +114,18 @@ def factorization_partition(F: GF2n,
 
     A block carries a commuting tensor factor when every generator pair's
     clash word (z1 & x2) ^ (z2 & x1) has even parity on its qubit mask.
-    The parity is linear in the word, so a basis of the clash words will do.
+    The parity is bilinear in the pair, so the curve's n generators will
+    do: the partitions valid for every clash word are the AND of the
+    words' `_partition_validity` masks, and the finest is its lowest bit.
     """
     words = F.coord_bits
-    gens = [(words[a], words[b]) for a, b in point_generators(F, assert_admissible(F, points))]
-    clashes = subgroup_basis((z1 & x2) ^ (z2 & x1)
-                             for (z1, x1), (z2, x2) in itertools.combinations(gens, 2))
+    gens = [(words[a], words[b])
+            for a, b in zip(*projection_generators(F, assert_admissible(F, points)))]
+    validity, valid = _partition_validity(F.n), -1
+    for (z1, x1), (z2, x2) in itertools.combinations(gens, 2):
+        valid &= validity[(z1 & x2) ^ (z2 & x1)]
     # the last entry, one block, is always valid: the curve is isotropic
-    return next(blocks for masks, blocks in _partition_table(F.n)
-                if not any((c & m).bit_count() & 1 for c in clashes for m in masks))
+    return _partition_table(F.n)[(valid & -valid).bit_length() - 1][1]
 
 
 def canonical_partition_types(n: int) -> list[tuple[int, ...]]:

@@ -3,11 +3,13 @@ exceptional constructors, enumeration, nonintersection."""
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mubcurves.errors import (
     DegenerateRoots,
@@ -24,7 +26,16 @@ from mubcurves import curves as C
 from mubcurves import field as FLD
 from mubcurves import pauli as P
 from mubcurves import verify as V
-from mubcurves.field import make_field, mat_solve, modulus_from_bits, subgroup_basis
+from mubcurves.field import (
+    make_field,
+    mat_solve,
+    modulus_from_bits,
+    subgroup_basis,
+    subgroup_span,
+    trace_orthogonal_complement,
+)
+
+from strategies import lagrangians
 
 F4 = make_field(2)
 F8 = make_field(3)
@@ -603,7 +614,7 @@ class TestValidatedCurve:
 
     def test_is_admissible_always_checks(self, full_checks):
         # negative control: a trusted Curve that is not admissible
-        fake = C._trusted(F4, {(0, 0), (1, 2), (2, 1), (3, 3)})
+        fake = C._trusted(F4, {(0, 0), (1, 2), (2, 1), (3, 3)}, (0b0110, 0b1001))
         assert C.assert_admissible(F4, fake) is fake
         assert not C.is_admissible(F4, fake)
         assert C.is_admissible(F4, C.enumerate_curves(F4)[0])
@@ -725,4 +736,145 @@ class TestClosedForms:
         assert cli.main(["curves", "--n", "4", "--modulus", "11001"]) == 0
         assert cli.main(["curves", "--n", "3"]) == 0
         assert solves == [] and builds == [4, 3]
+        capsys.readouterr()
+
+
+# -- point-based oracles: the record functions as they were before curves
+# carried their generators, reading all 2^n points; copied unchanged
+
+
+def oracle_classify_points(F, points):
+    pts = C.assert_admissible(F, points)
+    ra = len(subgroup_basis({a for a, _ in pts}))
+    rb = len(subgroup_basis({b for _, b in pts}))
+    if ra == F.n and rb == F.n:
+        variant = "RegularBoth"
+    elif ra == F.n:
+        variant = "RegularAlphaOnly"
+    elif rb == F.n:
+        variant = "RegularBetaOnly"
+    else:
+        variant = "Exceptional"
+    kind = "exceptional" if variant == "Exceptional" else "regular"
+    if kind == "regular" and C._is_ray(F, pts):
+        variant = "Ray"
+    return C.CurveClassification(kind, variant, int(ra == F.n), int(rb == F.n), ra, rb,
+                                 1 << (F.n - ra), 1 << (F.n - rb))
+
+
+def oracle_trace_witness(F, group):
+    gens = subgroup_basis(group)
+    if len(gens) != F.n - 1:
+        raise NoStructuralEquation(
+            f"trace witness needs a corank-1 subgroup, got size {1 << len(gens)}")
+    return max(trace_orthogonal_complement(F, gens))
+
+
+def oracle_structural_equations(F, points):
+    pts = C.assert_admissible(F, points)
+    out = []
+    for axis in (0, 1):
+        proj = {p[axis] for p in pts}
+        eq = C.annihilator(F, proj)
+        if len(proj) == F.order // 2:
+            eq = C.StructuralEquation(eq.coeffs, oracle_trace_witness(F, proj))
+        out.append(eq)
+    return out[0], out[1]
+
+
+def oracle_factorization_partition(F, points):
+    words = F.coord_bits
+    gens = [(words[a], words[b]) for a, b in C.point_generators(F, C.assert_admissible(F, points))]
+    clashes = subgroup_basis((z1 & x2) ^ (z2 & x1)
+                             for (z1, x1), (z2, x2) in itertools.combinations(gens, 2))
+    # the last entry, one block, is always valid: the curve is isotropic
+    return next(blocks for masks, blocks in P._partition_table(F.n)
+                if not any((c & m).bit_count() & 1 for c in clashes for m in masks))
+
+
+def outcome(f, *args):
+    """The result of f(*args), or the type of the MubcError it raises."""
+    try:
+        return f(*args)
+    except NoStructuralEquation as exc:
+        return type(exc)
+
+
+def assert_records_match_oracle(F, curve):
+    """`curve.gens` spans the curve, and every record function that reads
+    the generators agrees with its point-based oracle."""
+    low = F.order - 1
+    assert len(curve.gens) == F.n
+    assert {(g >> F.n, g & low) for g in subgroup_span(curve.gens)} == curve
+    assert C.classify_points(F, curve) == oracle_classify_points(F, curve)
+    assert P.factorization_partition(F, curve) == oracle_factorization_partition(F, curve)
+    assert (outcome(C.structural_equations, F, curve)
+            == outcome(oracle_structural_equations, F, curve))
+
+
+class TestGeneratorRecords:
+    """Records read off `Curve.gens` against the point-based oracles."""
+
+    @pytest.mark.parametrize("F", ORACLE_FIELDS, ids=ORACLE_IDS)
+    def test_enumerated_curves(self, F):
+        for curve in C.enumerate_curves(F):
+            assert_records_match_oracle(F, curve)
+
+    @pytest.mark.parametrize("F", ORACLE_FIELDS, ids=ORACLE_IDS)
+    def test_validated_point_sets(self, F):
+        # plain point sets get their generators from `assert_admissible`
+        for pts in C.enumerate_curves(F)[::5]:
+            curve = C.assert_admissible(F, frozenset(pts))
+            assert curve == pts and curve is not pts
+            assert_records_match_oracle(F, curve)
+            assert C.classify_points(F, frozenset(pts)) == C.classify_points(F, pts)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([make_field(5), make_field(5, modulus_from_bits("110111"))]),
+           st.data())
+    def test_random_five_qubit_lagrangians(self, F, data):
+        assert_records_match_oracle(F, data.draw(lagrangians(F)))
+
+    @pytest.mark.parametrize("n,bits", [(1, None), (2, None), (3, None), (3, "1101"),
+                                        (4, None), (4, "11001"), (5, None), (5, "110111")])
+    def test_trace_witness_closed_form(self, n, bits):
+        """Every corank-1 subgroup H: xi = c_1 / c_0 of its annihilator is the
+        nonzero element of the trace complement of H (at n = 1, H = {0} has
+        no c_1 and xi = 1)."""
+        F = make_field(n, modulus_from_bits(bits) if bits else None)
+        hyperplanes = [subgroup_span(basis) for basis in C._subspace_bases(n, n - 1)]
+        assert len(set(hyperplanes)) == F.order - 1
+        for H in hyperplanes:
+            eq = C.annihilator(F, H)
+            xi = C.trace_witness(F, eq)
+            assert xi == oracle_trace_witness(F, H)
+            assert {x for x in F.elements() if F.trace(F.mul(xi, x)) == 0} == H
+        if n > 1:  # negative control: a corank-2 annihilator has no witness
+            with pytest.raises(NoStructuralEquation):
+                C.trace_witness(F, C.StructuralEquation(eq.coeffs[1:]))
+
+    def test_curves_command_reads_generators(self, capsys, monkeypatch):
+        """`mubc curves --n 4` makes no `point_generators` or
+        `trace_orthogonal_complement` call, and no `subgroup_basis` call on
+        more than n elements."""
+        calls = collections.defaultdict(list)
+
+        def counting(name, f):
+            def counted(*args):
+                args = args[:-1] + (list(args[-1]),)
+                calls[name].append(len(args[-1]))
+                return f(*args)
+            return counted
+
+        for name in ("point_generators", "trace_orthogonal_complement", "subgroup_basis"):
+            original = getattr(C if name == "point_generators" else FLD, name)
+            for mod in (mubcurves, FLD, C, P, V, B, cli):
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counting(name, original))
+        assert cli.main(["curves", "--n", "4"]) == 0
+        assert calls["point_generators"] == [] and calls["trace_orthogonal_complement"] == []
+        assert calls["subgroup_basis"] and max(calls["subgroup_basis"]) <= 4
+        # negative control: a plain point set still goes through the points
+        C.classify_points(F16, frozenset(C.enumerate_curves(F16)[0]))
+        assert len(calls["point_generators"]) == 1 and max(calls["subgroup_basis"]) == 16
         capsys.readouterr()

@@ -15,7 +15,9 @@ from mubcurves import bundles as B
 from mubcurves import curves as C
 from mubcurves import pauli as P
 from mubcurves import verify as V
-from mubcurves.field import make_field, trace_pairing
+from mubcurves.field import make_field
+
+from strategies import lagrangians
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -174,7 +176,7 @@ class TestEigenbasis:
         assert not C.is_commutative(F4, pts)
         if checked:
             # passed as if already validated: only eigenbasis's own checks see it
-            pts = C._trusted(F4, pts)
+            pts = C._trusted(F4, pts, (0b0110, 0b1001))
             assert C.assert_admissible(F4, pts) is pts
         with pytest.raises(NotCommutative):
             V.eigenbasis(F4, pts)
@@ -283,26 +285,9 @@ def test_pairs_unbiased_exactly_when_disjoint(F, disjoint, data):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.sampled_from([F2, F4, F8, make_field(4), make_field(5)]), st.data())
 def test_random_lagrangians_give_exact_eigenbases(F, data):
-    """(A, M) drawn directly, not from the atlas: A from an echelon basis with
-    random lower bits, M a random symmetric binary matrix, T and the dual
-    lifts g_i from one trace pairing, curve {(a, f_M(a) + t)}."""
+    """(A, M) drawn directly, not from the atlas, by `lagrangians`."""
     d = F.order
-    r = data.draw(st.integers(0, F.n))
-    pivots = sorted(data.draw(st.permutations(range(F.n)))[:r])
-    basis = [1 << p | data.draw(st.integers(0, (1 << p) - 1)) for p in pivots]
-    M = [[0] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i, r):
-            M[i][j] = M[j][i] = data.draw(st.integers(0, 1))
-    pairing = trace_pairing(F, basis)
-    g = [pairing.index(1 << i) for i in range(r)]
-    pts = {(0, t) for t, word in enumerate(pairing) if not word}
-    for j, a in enumerate(basis):
-        fa = 0
-        for i in range(r):
-            fa ^= g[i] if M[i][j] else 0
-        pts |= {(x ^ a, y ^ fa) for x, y in pts}
-    curve = C.assert_admissible(F, pts)
+    curve = data.draw(lagrangians(F))
     b = V.eigenbasis(F, curve)
     assert b.re.shape == b.im.shape == (d, d)
     norms = (b.re * b.re + b.im * b.im).sum(axis=0)
