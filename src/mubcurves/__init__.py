@@ -7,7 +7,6 @@ from .curves import (
     StructuralEquation,
     CurveClassification,
     point_set,
-    classify,
     classify_points,
     explicit_form,
     explicit_curve,

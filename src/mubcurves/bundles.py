@@ -56,34 +56,20 @@ def vertical_ray(F: GF2n) -> PointSet:
     return frozenset((0, b) for b in F.elements())
 
 
-def horizontal_ray(F: GF2n) -> PointSet:
-    return frozenset((a, 0) for a in F.elements())
-
-
-def build_regular_bundle(F: GF2n, tail: Sequence[int] = (),
-                         orientation: str = "alpha_form") -> Bundle:
+def build_regular_bundle(F: GF2n, tail: Sequence[int] = ()) -> Bundle:
     """Sweep the linear coefficient over the field above a fixed tail.
 
     The 2^n curves beta = phi_0 alpha + sum_{m>=1} tail[m-1] alpha^(2^m)
-    are pairwise nonintersecting; the complementary ray (alpha = 0, or
-    beta = 0 for the mirrored orientation) completes the bundle.  An empty
-    tail gives the ray bundle.
+    are pairwise nonintersecting; the ray alpha = 0 completes the bundle.
+    An empty tail gives the ray bundle.
     """
     tail = list(tail) if tail else [0] * (F.n - 1)
     if len(tail) != F.n - 1:
         raise InputError(f"tail needs {F.n - 1} coefficients, got {len(tail)}")
     if not commutativity_symmetric(F, [0] + tail):
         raise NotCommutative(f"tail {tuple(tail)} violates the symmetry constraint")
-    if orientation not in ("alpha_form", "beta_form"):
-        raise InputError(f"unknown orientation {orientation!r}")
-    curves = []
-    for phi0 in F.elements():
-        pts = point_set(F, curve_from_phi(F, [phi0] + tail))
-        if orientation == "beta_form":
-            pts = frozenset((b, a) for a, b in pts)
-        curves.append(pts)
-    curves.append(vertical_ray(F) if orientation == "alpha_form" else horizontal_ray(F))
-    return make_bundle(F, curves)
+    curves = [point_set(F, curve_from_phi(F, [phi0] + tail)) for phi0 in F.elements()]
+    return make_bundle(F, curves + [vertical_ray(F)])
 
 
 def ray_bundle(F: GF2n) -> Bundle:
@@ -193,10 +179,3 @@ def _completions(g: _SearchGraph, need: int, chosen: list[int], cand: int,
         i = low.bit_length() - 1
         yield from _completions(g, need, chosen + [i], cand & g.later[i],
                                 covered | g.points[i])
-
-
-def orphan_curves(F: GF2n, bundles: Sequence[Bundle]) -> list[Curve]:
-    """Curves of the atlas not covered by any of the given bundles."""
-    require_enumerable(F)
-    covered = {c for b in bundles for c in b.curves}
-    return [c for c in _search_graph(F).atlas if c not in covered]

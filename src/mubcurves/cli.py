@@ -19,7 +19,7 @@ from . import curves as C
 from . import pauli as P
 from . import verify as V
 from .errors import EmptyResult, InputError, MubcError, clip, reason
-from .field import GF2n, field_from_config, make_field, modulus_from_bits
+from .field import GF2n, field_from_config, make_field, modulus_from_bits, modulus_to_bits
 
 ENV_FIELD_CONFIG = "MUBC_FIELD_CONFIG"
 
@@ -70,14 +70,21 @@ def fmt_curve_points(F: GF2n, pts: C.PointSet) -> str:
     return "{" + ", ".join(fmt_points(F, pts)) + "}"
 
 
-def fmt_explicit(F: GF2n, ec: C.ExplicitCurve) -> str:
-    dep, ind = ("b", "a") if ec.orientation == "alpha_form" else ("a", "b")
+def _additive_terms(F: GF2n, coeffs: Sequence[int], var: str) -> list[str]:
+    """The nonzero terms c*var^(2^m) of an additive polynomial, lowest power
+    first; var^1 is written var and a coefficient 1 is left out."""
     terms = []
-    for m, c in enumerate(ec.coeffs):
+    for m, c in enumerate(coeffs):
         if c == 0:
             continue
-        power = ind if m == 0 else f"{ind}^{1 << m}"
+        power = var if m == 0 else f"{var}^{1 << m}"
         terms.append(power if c == 1 else f"{F.format_element(c)}*{power}")
+    return terms
+
+
+def fmt_explicit(F: GF2n, ec: C.ExplicitCurve) -> str:
+    dep, ind = ("b", "a") if ec.orientation == "alpha_form" else ("a", "b")
+    terms = _additive_terms(F, ec.coeffs, ind)
     return f"{dep} = " + (" + ".join(terms) if terms else "0")
 
 
@@ -108,10 +115,7 @@ def _equation(rec: dict) -> str:
 
 
 def _fmt_structural(F: GF2n, eq: C.StructuralEquation, var: str) -> str:
-    terms = [f"{var}^{1 << m}" if c == 1 else f"{F.format_element(c)}*{var}^{1 << m}"
-             for m, c in enumerate(eq.coeffs) if c]
-    terms.append(f"{var}^{1 << eq.rank}")
-    text = " + ".join(t.replace(f"{var}^1", var) for t in terms) + " = 0"
+    text = " + ".join(_additive_terms(F, eq.coeffs + (1,), var)) + " = 0"
     if eq.xi is not None:
         text += f"; tr({F.format_element(eq.xi)}*{var}) = 0"
     return text
@@ -219,7 +223,7 @@ def load_seed_curves(F: GF2n, path: str) -> list[C.PointSet]:
 def cmd_field(args: argparse.Namespace) -> int:
     F = _build_field(args)
     lines = [
-        f"GF(2^{F.n}): {F.order} elements, modulus bits {format(F.modulus, 'b')[::-1]}",
+        f"GF(2^{F.n}): {F.order} elements, modulus bits {modulus_to_bits(F.modulus)}",
         f"primitive s = element {F.primitive}",
         "powers: " + ", ".join(
             f"s^{k}={F.antilog_table[k]}" for k in range(F.order - 1)),
@@ -231,7 +235,7 @@ def cmd_field(args: argparse.Namespace) -> int:
     ]
     payload = {
         "n": F.n,
-        "modulus_bits": format(F.modulus, "b")[::-1],
+        "modulus_bits": modulus_to_bits(F.modulus),
         "primitive": F.primitive,
         "antilog_table": list(F.antilog_table),
         "trace_table": list(F.trace_table),

@@ -96,12 +96,6 @@ def symplectic_trace(F: GF2n, p: Point, q: Point) -> int:
     return ((b[p[0]] & b[q[1]]) ^ (b[p[1]] & b[q[0]])).bit_count() & 1
 
 
-def is_additive_subgroup(points: Iterable[Point]) -> bool:
-    pts = set(points)
-    return (0, 0) in pts and all(
-        (p[0] ^ q[0], p[1] ^ q[1]) in pts for p in pts for q in pts)
-
-
 def is_commutative(F: GF2n, points: Iterable[Point]) -> bool:
     """Whether the point set is isotropic for the symplectic trace form."""
     pts = list(points)
@@ -187,10 +181,6 @@ def w_det(F: GF2n, coeffs: Sequence[int]) -> int:
     return mat_rank_det(F, w_matrix(F, coeffs))[1]
 
 
-def w_rank(F: GF2n, coeffs: Sequence[int]) -> int:
-    return mat_rank_det(F, w_matrix(F, coeffs))[0]
-
-
 @dataclass(frozen=True)
 class CurveClassification:
     kind: str               # "regular" or "exceptional"
@@ -252,11 +242,6 @@ def classify(F: GF2n, curve: ParametricCurve) -> CurveClassification:
     return replace(cls, det_alpha=da, det_beta=db)
 
 
-def is_nonsingular(F: GF2n, curve: ParametricCurve) -> bool:
-    """Injectivity of the parametrisation, decided on the full image."""
-    return len(point_set(F, curve)) == F.order
-
-
 # -- explicit forms ------------------------------------------------------------
 
 
@@ -283,10 +268,6 @@ class ExplicitCurve:
 
     orientation: str        # "alpha_form" or "beta_form"
     coeffs: tuple[int, ...]
-
-    def holds(self, F: GF2n, p: Point) -> bool:
-        a, b = p if self.orientation == "alpha_form" else (p[1], p[0])
-        return _additive_eval(F, self.coeffs, a) == b
 
 
 def explicit_curve(F: GF2n, points: Iterable[Point]) -> ExplicitCurve:
@@ -439,12 +420,8 @@ def exceptional_equal(F: GF2n, roots: Sequence[int]) -> Curve:
     return assert_admissible(F, pts)
 
 
-def exceptional_unequal(F: GF2n, roots: Sequence[int],
-                        swap: bool = False) -> Curve:
-    """Product curve A x A_perp with dim A + dim A_perp = n (both < n).
-
-    `swap` exchanges the roles of the two axes.
-    """
+def exceptional_unequal(F: GF2n, roots: Sequence[int]) -> Curve:
+    """Product curve A x A_perp with dim A + dim A_perp = n (both < n)."""
     roots = list(roots)
     r = len(roots)
     if not 1 <= r <= F.n - 1:
@@ -453,10 +430,7 @@ def exceptional_unequal(F: GF2n, roots: Sequence[int],
     if len(A) != 1 << r:
         raise DegenerateRoots(f"roots {roots} are not independent")
     B = trace_orthogonal_complement(F, A)
-    pts = {(a, b) for a in A for b in B}
-    if swap:
-        pts = {(b, a) for a, b in pts}
-    return assert_admissible(F, pts)
+    return assert_admissible(F, {(a, b) for a in A for b in B})
 
 
 # -- enumeration ------------------------------------------------------------------

@@ -30,10 +30,6 @@ class DivisionByZero(MubcError):
     """Multiplicative inverse of the zero element requested."""
 
 
-class SingularBasis(MubcError):
-    """A supplied basis is linearly dependent over GF(2)."""
-
-
 class NoSelfdualFound(MubcError):
     """Internal error: no selfdual basis exists for the field as built."""
 

@@ -20,7 +20,6 @@ from .errors import (
     InputError,
     InvalidModulus,
     NoSelfdualFound,
-    SingularBasis,
     UnsupportedDegree,
     clip,
     reason,
@@ -106,7 +105,8 @@ class GF2n:
         if modulus is None:
             modulus = DEFAULT_MODULI[n]
         if _poly_degree(modulus) != n:
-            raise InvalidModulus(f"modulus {modulus:#b} has degree {_poly_degree(modulus)}, expected {n}")
+            raise InvalidModulus(f"modulus {clip(f'{modulus:#b}')} has degree "
+                                 f"{_poly_degree(modulus)}, expected {n}")
         if not is_irreducible(modulus):
             raise InvalidModulus(f"modulus {modulus:#b} is reducible over GF(2)")
         self.n = n
@@ -151,9 +151,10 @@ class GF2n:
     def _pick_primitive(self, override: Optional[int]) -> int:
         if override is not None:
             if not 0 < override < self.order:
-                raise InvalidModulus(f"primitive override {override} outside field")
+                raise InvalidModulus(f"primitive override {clip(override)} outside field")
             if self._element_order(override) != self.order - 1:
-                raise InvalidModulus(f"element {override} does not generate the multiplicative group")
+                raise InvalidModulus(f"element {clip(override)} does not generate "
+                                     "the multiplicative group")
             return override
         if self.n == 1:
             return 1
@@ -192,11 +193,6 @@ class GF2n:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: int, k: int) -> int:
-        if a == 0:
-            return 1 if k == 0 else 0
-        return self.antilog_table[(self.log_table[a] * k) % (self.order - 1)]
-
     def frobenius(self, a: int, k: int = 1) -> int:
         x = a
         for _ in range(k % self.n):
@@ -209,42 +205,16 @@ class GF2n:
     def character(self, a: int) -> int:
         return -1 if self.trace_table[a] else 1
 
-    def log(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("log of 0")
-        return self.log_table[a]
-
     def sigma_pow(self, k: int) -> int:
         return self.antilog_table[k % (self.order - 1)]
 
     # -- bases and coordinates -----------------------------------------------
 
-    def dual_basis(self, basis: Sequence[int]) -> tuple[int, ...]:
-        """The basis {theta'_l} with tr(theta_k theta'_l) = delta_{k,l}."""
-        if len(basis) != self.n or len(subgroup_basis(basis)) != self.n:
-            raise SingularBasis(f"{basis} is not a basis of GF(2^{self.n})")
-        # for a basis, x |-> (tr(theta_1 x), ..., tr(theta_n x)) is a bijection
-        pairing = trace_pairing(self, basis)
-        return tuple(pairing.index(1 << l) for l in range(self.n))
-
-    def coords(self, a: int, basis: Optional[Sequence[int]] = None) -> tuple[int, ...]:
-        """Coordinates of `a` in `basis` (selfdual basis by default): the
-        traces tr(a theta'_k) against the dual basis."""
-        dual = self.selfdual_basis if basis is None else self.dual_basis(basis)
+    def coords(self, a: int) -> tuple[int, ...]:
+        """Selfdual coordinates (tr(a theta_1), ..., tr(a theta_n)): the bits
+        of `coord_bits[a]`, qubit 1 first."""
         w = self.coord_bits[a]
-        return tuple((w & self.coord_bits[t]).bit_count() & 1 for t in dual)
-
-    def from_coords(self, bits: Sequence[int],
-                    basis: Optional[Sequence[int]] = None) -> int:
-        if basis is None:
-            basis = self.selfdual_basis
-        elif len(subgroup_basis(basis)) != len(basis):
-            raise SingularBasis(f"{basis} is not a basis of GF(2^{self.n})")
-        a = 0
-        for bit, t in zip(bits, basis):
-            if bit:
-                a ^= t
-        return a
+        return tuple(w >> k & 1 for k in range(self.n - 1, -1, -1))
 
     def find_selfdual_basis(self) -> tuple[int, ...]:
         """Exhaustive search for tr(theta_k theta_l) = delta_{k,l}.
@@ -271,14 +241,6 @@ class GF2n:
         if not extend():
             raise NoSelfdualFound(f"no selfdual basis for n={self.n}, modulus {self.modulus:#b}")
         return tuple(partial)
-
-    # -- Jacobi logarithm ----------------------------------------------------
-
-    def jacobi_add_step(self, k: int) -> int:
-        """Exponent of sigma^k + sigma^{k+1}: (k + L(1)) mod (2^n - 1)."""
-        if self.jacobi_L1 is None:
-            raise DivisionByZero("1 + sigma = 0 in GF(2); no Jacobi logarithm")
-        return (k + self.jacobi_L1) % (self.order - 1)
 
     # -- rendering -----------------------------------------------------------
 

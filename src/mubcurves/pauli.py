@@ -129,23 +129,14 @@ def factorization_partition(F: GF2n,
 
 
 def canonical_partition_types(n: int) -> list[tuple[int, ...]]:
-    """Integer partitions of n as sorted block-size tuples, finest first.
+    """Integer partitions of n as sorted block-size tuples, finest first: the
+    block-size types of the set partitions in `_partition_table(n)`.
 
     Ordered by decreasing block count, ties broken lexicographically, so
     (1,...,1) is first and (n,) last; the list has p(n) entries.
     """
-    parts: list[tuple[int, ...]] = []
-
-    def gen(remaining: int, mx: int, acc: list[int]) -> None:
-        if remaining == 0:
-            parts.append(tuple(sorted(acc)))
-            return
-        for k in range(1, min(mx, remaining) + 1):
-            gen(remaining - k, k, acc + [k])
-
-    gen(n, n, [])
-    parts.sort(key=lambda p: (-len(p), p))
-    return parts
+    return sorted({partition_type(blocks) for _, blocks in _partition_table(n)},
+                  key=lambda p: (-len(p), p))
 
 
 def partition_type(partition: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -167,41 +158,27 @@ def bundle_structure(F: GF2n, curves: Iterable[Iterable[Point]]) -> tuple[int, .
 # -- local transformations --------------------------------------------------------
 
 
-_BIT_MAPS = {
-    "z": lambda zb, xb: (zb ^ xb, xb),
-    "x": lambda zb, xb: (zb, xb ^ zb),
-    "y": lambda zb, xb: (xb, zb),
-}
-
-
-def local_transform_bits(kind: str, qubit: int, z_bits: Sequence[int],
-                         x_bits: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Apply a single-qubit rotation about the z, x or y axis to one bit slot.
-
-    `qubit` is 1-based.  z leaves sigma_z fixed and maps sigma_x -> sigma_y;
-    x leaves sigma_x fixed and maps sigma_z -> sigma_y; y swaps z and x.
-    """
-    if kind not in _BIT_MAPS:
-        raise InputError(f"unknown rotation {clip(kind)}; expected z, x or y")
-    if not 1 <= qubit <= len(z_bits):
-        raise InputError(f"qubit {qubit} out of range 1..{len(z_bits)}")
-    k = qubit - 1
-    z, x = list(z_bits), list(x_bits)
-    z[k], x[k] = _BIT_MAPS[kind](z[k], x[k])
-    return tuple(z), tuple(x)
-
-
 def local_transform_point(F: GF2n, kind: str, qubit: int, p: Point) -> Point:
-    """The phase-space action of a local rotation, in field form.
+    """The phase-space action of a single-qubit rotation, in field form.
 
-    With theta the qubit's selfdual basis vector,
-      z: beta fixed, alpha += theta * tr(beta theta)
-      x: alpha fixed, beta += theta * tr(alpha theta)
-      y: swap the qubit's contribution between alpha and beta.
+    `qubit` is 1-based.  With theta the qubit's selfdual basis vector and
+    a_q = tr(alpha theta), b_q = tr(beta theta) its z and x bits:
+      z: beta fixed, alpha += theta b_q (sigma_x -> sigma_y)
+      x: alpha fixed, beta += theta a_q (sigma_z -> sigma_y)
+      y: alpha and beta += theta (a_q + b_q), swapping the two bits.
     """
-    m = monomial(F, *p)
-    z, x = local_transform_bits(kind, qubit, m.z_bits, m.x_bits)
-    return F.from_coords(z), F.from_coords(x)
+    if kind not in ("z", "x", "y"):
+        raise InputError(f"unknown rotation {clip(kind)}; expected z, x or y")
+    if not 1 <= qubit <= F.n:
+        raise InputError(f"qubit {qubit} out of range 1..{F.n}")
+    theta, bit = F.selfdual_basis[qubit - 1], 1 << (F.n - qubit)
+    alpha, beta = p
+    z, x = F.coord_bits[alpha] & bit, F.coord_bits[beta] & bit
+    if kind == "z":
+        return (alpha ^ theta if x else alpha), beta
+    if kind == "x":
+        return alpha, (beta ^ theta if z else beta)
+    return (alpha ^ theta, beta ^ theta) if z != x else (alpha, beta)
 
 
 def transform_curve(F: GF2n, points: Iterable[Point],

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InputError, NotCommutative
 from .curves import Point, PointSet, all_nonintersecting, assert_admissible, point_generators
 from .field import GF2n
-from .pauli import bundle_structure, commutes, commuting_set, monomial
+from .pauli import bundle_structure, commutes, commuting_set
 
 # -- dense operators ---------------------------------------------------------------
 
@@ -42,50 +42,9 @@ def dense_monomial(F: GF2n, alpha: int, beta: int) -> np.ndarray:
     return M
 
 
-def dense_z(F: GF2n, alpha: int) -> np.ndarray:
-    return dense_monomial(F, alpha, 0)
-
-
-def dense_x(F: GF2n, beta: int) -> np.ndarray:
-    return dense_monomial(F, 0, beta)
-
-
-_SZ = np.array([[1, 0], [0, -1]], dtype=np.int64)
-_SX = np.array([[0, 1], [1, 0]], dtype=np.int64)
-
-
-def dense_from_bits(z_bits: Sequence[int], x_bits: Sequence[int]) -> np.ndarray:
-    """Tensor product of per-qubit sigma_z^a sigma_x^b factors (no i phases)."""
-    M = np.array([[1]], dtype=np.int64)
-    for zb, xb in zip(z_bits, x_bits):
-        f = np.eye(2, dtype=np.int64)
-        if zb:
-            f = f @ _SZ
-        if xb:
-            f = f @ _SX
-        M = np.kron(M, f)
-    return M
-
-
 def monomial_square_sign(F: GF2n, alpha: int, beta: int) -> int:
     """(Z_alpha X_beta)^2 = chi(alpha beta) * identity."""
     return -1 if (F.coord_bits[alpha] & F.coord_bits[beta]).bit_count() & 1 else 1
-
-
-def tensor_phase(F: GF2n, alpha: int, beta: int) -> int:
-    """Sign s with Z_alpha X_beta = s * (tensor product of per-qubit factors).
-
-    Both sides are real signed permutations, so the only possible global
-    phases are +1 and -1.
-    """
-    m = monomial(F, alpha, beta)
-    M1 = dense_monomial(F, alpha, beta)
-    M2 = dense_from_bits(m.z_bits, m.x_bits)
-    if np.array_equal(M1, M2):
-        return 1
-    if np.array_equal(M1, -M2):
-        return -1
-    raise InputError(f"monomial {(alpha, beta)} is not proportional to its tensor form")
 
 
 # -- exact stabilizer vectors ------------------------------------------------------
@@ -227,20 +186,6 @@ def _distinct_columns(re: np.ndarray, im: np.ndarray,
     key = codes[live] * re.shape[0] + nonzero[:, live].argmax(axis=0)
     keep = live[np.sort(np.unique(key, return_index=True)[1])]
     return re[:, keep], im[:, keep], codes[keep]
-
-
-def eigenphase_exponent(F: GF2n, vec: ExactVector, p: Point) -> int:
-    """The exponent e in 0..3 with Z_alpha X_beta v = i^e v."""
-    D = dense_monomial(F, *p)
-    re = np.asarray(vec.re, dtype=object)
-    im = np.asarray(vec.im, dtype=object)
-    wre = D @ re
-    wim = D @ im
-    for e, (fr, fi) in enumerate(((1, 0), (0, 1), (-1, 0), (0, -1))):
-        if (np.array_equal(wre, fr * re - fi * im)
-                and np.array_equal(wim, fr * im + fi * re)):
-            return e
-    raise NotCommutative(f"vector is not an eigenvector of monomial {p}")
 
 
 # -- MUB checks --------------------------------------------------------------------

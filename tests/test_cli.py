@@ -155,6 +155,16 @@ class TestTransformCommand:
                            "--curve", "b = s", "--ops", "x@1")
         assert code == 2 and "error:" in err
 
+    def test_sixteenth_power_is_printed_whole(self, capsys):
+        # the monic a^16 term of a five-qubit annihilator keeps its exponent
+        want = ("s^9*a + s^27*a^2 + s*a^4 + s^11*a^8 + a^16 = 0; tr(s^18*a) = 0; "
+                "s^18*b + b^2 = 0")
+        argv = ("transform", "--n", "5", "--curve", "b = 0", "--ops", "y@1")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and f"equation: {want}\n" in out
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and "; ".join(json.loads(out)["structural"]) == want
+
 
 class TestBundleCommand:
     def test_rays_text(self, capsys):
@@ -314,6 +324,13 @@ class TestMalformedInput:
         monkeypatch.setenv(cli.ENV_FIELD_CONFIG, str(path))
         self.assert_input_error(capsys, "field", "--n", "3")
 
+    def test_long_primitive_is_clipped(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "fields.json"
+        path.write_text(json.dumps({"2": {"primitive": 10 ** 3000}}))
+        monkeypatch.setenv(cli.ENV_FIELD_CONFIG, str(path))
+        err = self.assert_input_error(capsys, "field", "--n", "2")
+        assert len(err.encode()) < 200 and "..." in err
+
     def test_missing_field_config(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_FIELD_CONFIG, str(tmp_path / "no-such-config.json"))
         self.assert_input_error(capsys, "field", "--n", "3")
@@ -379,8 +396,9 @@ class TestMalformedInput:
         ("--curve", "[" + "[0, 0], " * 20_000 + "[1]]", "--ops", "x@1"),
         ("--curve", "b = a", "--ops", "q" * 100_000),
         ("--curve", "b = a", "--ops", "w" * 100_000 + "@1"),
-        ("--curve", "b = a", "--ops", "x@1", "--modulus", "2" * 100_000)],
-        ids=["element", "term", "pairs", "op", "rotation", "modulus"])
+        ("--curve", "b = a", "--ops", "x@1", "--modulus", "2" * 100_000),
+        ("--curve", "b = a", "--ops", "x@1", "--modulus", "1" * 100_000)],
+        ids=["element", "term", "pairs", "op", "rotation", "modulus", "modulus-degree"])
     def test_long_input_is_clipped_in_the_error_line(self, capsys, argv):
         err = self.assert_input_error(capsys, "transform", "--n", "2", *argv)
         assert len(err.encode()) < 200 and "..." in err

@@ -6,11 +6,12 @@ import itertools
 
 import pytest
 
-from mubcurves.errors import InputError
+from mubcurves.errors import InputError, clip
 from mubcurves import curves as C
 from mubcurves import pauli as P
 from mubcurves.field import make_field, modulus_from_bits
 
+F2 = make_field(1)
 F4 = make_field(2)
 F8 = make_field(3)
 
@@ -122,29 +123,82 @@ class TestFactorization:
         assert types4[0] == (1, 1, 1, 1) and types4[-1] == (4,)
         assert len(types4) == 5
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_partition_types_against_integer_partitions(self, n):
+        assert P.canonical_partition_types(n) == integer_partitions(n)
+
+
+def integer_partitions(n):
+    """The integer partitions of n by recursion on the largest part, sorted
+    by decreasing part count, then lexicographically."""
+    parts = []
+
+    def gen(remaining, mx, acc):
+        if remaining == 0:
+            parts.append(tuple(sorted(acc)))
+            return
+        for k in range(1, min(mx, remaining) + 1):
+            gen(remaining - k, k, acc + [k])
+
+    gen(n, n, [])
+    parts.sort(key=lambda p: (-len(p), p))
+    return parts
+
+
+_BIT_MAPS = {
+    "z": lambda zb, xb: (zb ^ xb, xb),
+    "x": lambda zb, xb: (zb, xb ^ zb),
+    "y": lambda zb, xb: (xb, zb),
+}
+
+
+def local_transform_bits(kind, qubit, z_bits, x_bits):
+    """Apply a single-qubit rotation about the z, x or y axis to one bit slot.
+
+    `qubit` is 1-based.  z leaves sigma_z fixed and maps sigma_x -> sigma_y;
+    x leaves sigma_x fixed and maps sigma_z -> sigma_y; y swaps z and x.
+    """
+    if kind not in _BIT_MAPS:
+        raise InputError(f"unknown rotation {clip(kind)}; expected z, x or y")
+    if not 1 <= qubit <= len(z_bits):
+        raise InputError(f"qubit {qubit} out of range 1..{len(z_bits)}")
+    k = qubit - 1
+    z, x = list(z_bits), list(x_bits)
+    z[k], x[k] = _BIT_MAPS[kind](z[k], x[k])
+    return tuple(z), tuple(x)
+
+
+# n = 1..5 under the default moduli, and one other modulus for n = 3, 4, 5
+POINT_FORM_FIELDS = [make_field(n) for n in range(1, 6)] + [
+    make_field(len(bits) - 1, modulus_from_bits(bits)) for bits in ("1101", "11001", "111101")]
+POINT_FORM_IDS = ["n1", "n2", "n3", "n4", "n5", "n3-1101", "n4-11001", "n5-111101"]
+
 
 class TestLocalTransforms:
     def test_bit_maps(self):
-        assert P.local_transform_bits("z", 1, (1,), (0,)) == ((1,), (0,))
-        assert P.local_transform_bits("z", 1, (0,), (1,)) == ((1,), (1,))
-        assert P.local_transform_bits("x", 1, (1,), (0,)) == ((1,), (1,))
-        assert P.local_transform_bits("y", 1, (1,), (0,)) == ((0,), (1,))
-        assert P.local_transform_bits("y", 1, (0,), (0,)) == ((0,), (0,))
+        # one qubit: theta = 1, so the z and x bits are alpha and beta
+        assert P.local_transform_point(F2, "z", 1, (1, 0)) == (1, 0)
+        assert P.local_transform_point(F2, "z", 1, (0, 1)) == (1, 1)
+        assert P.local_transform_point(F2, "x", 1, (1, 0)) == (1, 1)
+        assert P.local_transform_point(F2, "y", 1, (1, 0)) == (0, 1)
+        assert P.local_transform_point(F2, "y", 1, (0, 0)) == (0, 0)
 
     def test_bad_inputs(self):
-        with pytest.raises(InputError):
-            P.local_transform_bits("q", 1, (0,), (0,))
-        with pytest.raises(InputError):
-            P.local_transform_bits("x", 3, (0, 0), (0, 0))
+        with pytest.raises(InputError, match="unknown rotation 'q'"):
+            P.local_transform_point(F2, "q", 1, (0, 0))
+        with pytest.raises(InputError, match=r"qubit 3 out of range 1\.\.2"):
+            P.local_transform_point(F4, "x", 3, (0, 0))
+        with pytest.raises(InputError, match=r"qubit 0 out of range 1\.\.2"):
+            P.local_transform_point(F4, "x", 0, (0, 0))
 
-    @pytest.mark.parametrize("F", [F4, F8], ids=["n2", "n3"])
+    @pytest.mark.parametrize("F", POINT_FORM_FIELDS, ids=POINT_FORM_IDS)
     def test_point_and_bit_forms_agree(self, F):
         for a, b in itertools.product(F.elements(), repeat=2):
             m = P.monomial(F, a, b)
             for kind in "zxy":
                 for qubit in range(1, F.n + 1):
                     pt = P.local_transform_point(F, kind, qubit, (a, b))
-                    z, x = P.local_transform_bits(kind, qubit, m.z_bits, m.x_bits)
+                    z, x = local_transform_bits(kind, qubit, m.z_bits, m.x_bits)
                     assert P.monomial(F, *pt) == P.PauliMonomial(pt[0], pt[1], z, x)
 
     def test_transforms_preserve_commutation(self):

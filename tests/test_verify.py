@@ -41,24 +41,71 @@ def ray(F, lam=None):
     return frozenset((a, F.mul(lam, a)) for a in F.elements())
 
 
+_SZ = np.array([[1, 0], [0, -1]], dtype=np.int64)
+_SX = np.array([[0, 1], [1, 0]], dtype=np.int64)
+
+
+def dense_from_bits(z_bits, x_bits):
+    """Tensor product of per-qubit sigma_z^a sigma_x^b factors (no i phases)."""
+    M = np.array([[1]], dtype=np.int64)
+    for zb, xb in zip(z_bits, x_bits):
+        f = np.eye(2, dtype=np.int64)
+        if zb:
+            f = f @ _SZ
+        if xb:
+            f = f @ _SX
+        M = np.kron(M, f)
+    return M
+
+
+def tensor_phase(F, alpha, beta):
+    """Sign s with Z_alpha X_beta = s * (tensor product of per-qubit factors).
+
+    Both sides are real signed permutations, so the only possible global
+    phases are +1 and -1.
+    """
+    m = P.monomial(F, alpha, beta)
+    M1 = V.dense_monomial(F, alpha, beta)
+    M2 = dense_from_bits(m.z_bits, m.x_bits)
+    if np.array_equal(M1, M2):
+        return 1
+    if np.array_equal(M1, -M2):
+        return -1
+    raise InputError(f"monomial {(alpha, beta)} is not proportional to its tensor form")
+
+
+def eigenphase_exponent(F, vec, p):
+    """The exponent e in 0..3 with Z_alpha X_beta v = i^e v."""
+    D = V.dense_monomial(F, *p)
+    re = np.asarray(vec.re, dtype=object)
+    im = np.asarray(vec.im, dtype=object)
+    wre = D @ re
+    wim = D @ im
+    for e, (fr, fi) in enumerate(((1, 0), (0, 1), (-1, 0), (0, -1))):
+        if (np.array_equal(wre, fr * re - fi * im)
+                and np.array_equal(wim, fr * im + fi * re)):
+            return e
+    raise NotCommutative(f"vector is not an eigenvector of monomial {p}")
+
+
 class TestDenseOperators:
     def test_single_qubit(self):
-        assert np.array_equal(V.dense_z(F2, 1), [[1, 0], [0, -1]])
-        assert np.array_equal(V.dense_x(F2, 1), [[0, 1], [1, 0]])
+        assert np.array_equal(V.dense_monomial(F2, 1, 0), [[1, 0], [0, -1]])
+        assert np.array_equal(V.dense_monomial(F2, 0, 1), [[0, 1], [1, 0]])
 
     def test_z_is_diagonal_x_is_permutation(self):
         for F in (F4, F8):
             for a in F.elements():
-                Z = V.dense_z(F, a)
+                Z = V.dense_monomial(F, a, 0)
                 assert np.array_equal(Z, np.diag(np.diag(Z)))
-                X = np.abs(V.dense_x(F, a))
+                X = np.abs(V.dense_monomial(F, 0, a))
                 assert np.array_equal(X @ X.T, np.eye(F.order, dtype=np.int64))
 
     def test_monomial_is_z_times_x(self):
         for F in (F4, F8):
             for a, b in itertools.product(F.elements(), repeat=2):
                 got = V.dense_monomial(F, a, b)
-                assert np.array_equal(got, V.dense_z(F, a) @ V.dense_x(F, b))
+                assert np.array_equal(got, V.dense_monomial(F, a, 0) @ V.dense_monomial(F, 0, b))
 
     def test_unitary(self):
         for a, b in itertools.product(F8.elements(), repeat=2):
@@ -84,11 +131,11 @@ class TestDenseOperators:
     def test_tensor_phase_is_sign(self):
         for F in (F4, F8):
             for a, b in itertools.product(F.elements(), repeat=2):
-                assert V.tensor_phase(F, a, b) in (-1, 1)
+                assert tensor_phase(F, a, b) in (-1, 1)
 
     def test_tensor_phase_examples(self):
         # Z_sigma X_sigma^2 acts as sigma_z (x) sigma_x with no extra sign
-        assert V.tensor_phase(F4, s4(1), s4(2)) == 1
+        assert tensor_phase(F4, s4(1), s4(2)) == 1
 
     def test_basis_index_msb(self):
         # qubit 1 is the most significant coordinate bit
@@ -153,7 +200,7 @@ class TestEigenbasis:
         for v in basis.vectors:
             for p in sorted(pts):
                 if p != (0, 0):
-                    assert V.eigenphase_exponent(F8, v, p) in range(4)
+                    assert eigenphase_exponent(F8, v, p) in range(4)
 
     @pytest.mark.parametrize("F", [F2, F4, F8], ids=["n1", "n2", "n3"])
     def test_atlas_against_exact_oracle(self, F):
@@ -164,7 +211,7 @@ class TestEigenbasis:
             vecs = basis.vectors
             assert len(vecs) == F.order
             for v, label in zip(vecs, basis.labels):
-                assert tuple(V.eigenphase_exponent(F, v, g) for g in gens) == label
+                assert tuple(eigenphase_exponent(F, v, g) for g in gens) == label
                 assert sum(a * a + b * b for a, b in zip(v.re, v.im)) == 1 << v.norm_exp
             for u, v in itertools.combinations(vecs, 2):
                 assert u.overlap_sq(v) == 0
