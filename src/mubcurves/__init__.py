@@ -29,7 +29,6 @@ from .bundles import (
 from .pauli import (
     PauliMonomial,
     monomial,
-    commutes,
     commuting_set,
     factorization_partition,
     bundle_structure,

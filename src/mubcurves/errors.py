@@ -56,7 +56,7 @@ class DegenerateRoots(MubcError):
 
 
 class InconsistentDegeneracy(MubcError):
-    """No admissible offset exists for the requested degeneracy pattern."""
+    """`classify` found projection ranks that disagree with the W-matrix ranks."""
 
 
 class EmptyResult(MubcError):

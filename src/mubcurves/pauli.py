@@ -20,7 +20,6 @@ from .curves import (
     PointSet,
     assert_admissible,
     projection_generators,
-    symplectic_trace,
 )
 from .field import GF2n
 
@@ -50,10 +49,6 @@ class PauliMonomial:
 
 def monomial(F: GF2n, alpha: int, beta: int) -> PauliMonomial:
     return PauliMonomial(alpha, beta, F.coords(alpha), F.coords(beta))
-
-
-def commutes(F: GF2n, m1: PauliMonomial, m2: PauliMonomial) -> bool:
-    return symplectic_trace(F, m1.point, m2.point) == 0
 
 
 def commuting_set(F: GF2n, points: Iterable[Point]) -> list[PauliMonomial]:

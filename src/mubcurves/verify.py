@@ -1,7 +1,7 @@
 """Exact dense-matrix verification of MUB atlases built from curves.
 
-Operators are 2^n x 2^n signed permutation matrices held as numpy int64
-arrays.  Every joint eigenvector of a curve's commuting set is a stabilizer
+Z_alpha X_beta is a signed permutation read off the selfdual words of alpha
+and beta.  Every joint eigenvector of a curve's commuting set is a stabilizer
 state: a Gaussian-integer vector whose squared norm is a power of 2
 (Dehaene & De Moor, PRA 68, 042318, 2003).  Eigenbases are therefore built
 by integer projector splitting on (real, imaginary) int64 matrices, and
@@ -21,24 +21,26 @@ import numpy as np
 from .errors import InputError, NotCommutative
 from .curves import Point, PointSet, all_nonintersecting, assert_admissible, point_generators
 from .field import GF2n
-from .pauli import bundle_structure, commutes, commuting_set
+from .pauli import bundle_structure, commuting_set
 
 # -- dense operators ---------------------------------------------------------------
 
 
-def basis_index(F: GF2n, c: int) -> int:
-    """Computational-basis index of field element c: its selfdual-coordinate
-    word, qubit 1 the most significant bit."""
-    return F.coord_bits[c]
+def _signs(F: GF2n, alphas: Sequence[int]) -> np.ndarray:
+    """Row k, column r: (-1)^popcount(r & w), w the selfdual word of
+    alphas[k]; the diagonal of Z_alphas[k], qubit 1 the most significant bit."""
+    words = np.array([F.coord_bits[a] for a in alphas], dtype=np.int64)
+    # bitwise_count gives uint8, in which 1 - 2 * 1 would wrap to 255
+    odd = (np.bitwise_count(words[:, None] & np.arange(F.order)) & 1).astype(np.int64)
+    return 1 - 2 * odd
 
 
 def dense_monomial(F: GF2n, alpha: int, beta: int) -> np.ndarray:
-    """Z_alpha X_beta as a signed permutation matrix:
-    Z_alpha X_beta |c> = chi((c + beta) alpha) |c + beta>."""
-    d = F.order
-    M = np.zeros((d, d), dtype=np.int64)
-    for c in F.elements():
-        M[basis_index(F, c ^ beta), basis_index(F, c)] = F.character(F.mul(c ^ beta, alpha))
+    """Z_alpha X_beta |c> = chi((c + beta) alpha) |c + beta>: row r holds the
+    sign of Z_alpha at r in column r ^ w, w the selfdual word of beta."""
+    rows = np.arange(F.order)
+    M = np.zeros((F.order, F.order), dtype=np.int64)
+    M[rows, rows ^ F.coord_bits[beta]] = _signs(F, [alpha])[0]
     return M
 
 
@@ -135,10 +137,12 @@ def eigenbasis(F: GF2n, points: Iterable[Point]) -> MubBasis:
     im = np.zeros((d, d), dtype=np.int64)
     codes = np.zeros(d, dtype=np.int64)     # labels as base-4 numbers
     gens = point_generators(F, pts)
-    dense = [dense_monomial(F, *g) for g in gens]
+    # generator j maps the columns x to sign[j] * x[perm[j]]
+    sign = _signs(F, [a for a, _ in gens])[:, :, None]
+    perm = np.arange(d) ^ np.array([F.coord_bits[b] for _, b in gens])[:, None]
     # entries stay within 2^len(gens) = d in absolute value: no int64 overflow
-    for g, D in zip(gens, dense):
-        dre, dim = D @ re, D @ im
+    for j, g in enumerate(gens):
+        dre, dim = sign[j] * re[perm[j]], sign[j] * im[perm[j]]
         if monomial_square_sign(F, *g) == 1:
             # D^2 = I: v + Dv has eigenvalue +1, v - Dv has -1
             re = np.hstack([re + dre, re - dre])
@@ -170,10 +174,10 @@ def eigenbasis(F: GF2n, points: Iterable[Point]) -> MubBasis:
         raise NotCommutative("eigenbasis columns are not orthogonal")
     # row j: the exponent e with D_j v = i^e v, per column v
     labels = (codes >> 2 * np.arange(len(gens) - 1, -1, -1)[:, None]) & 3
-    for D, e in zip(dense, labels):
+    for j, e in enumerate(labels):
         cos, sin = np.array([1, 0, -1, 0])[e], np.array([0, 1, 0, -1])[e]
-        if not (np.array_equal(D @ re, cos * re - sin * im)
-                and np.array_equal(D @ im, sin * re + cos * im)):
+        if not (np.array_equal(sign[j] * re[perm[j]], cos * re - sin * im)
+                and np.array_equal(sign[j] * im[perm[j]], sin * re + cos * im)):
             raise NotCommutative("eigenbasis columns are not joint eigenvectors")
     return MubBasis(pts, tuple(map(tuple, labels.T.tolist())), re, im, norm_exps)
 
@@ -198,23 +202,19 @@ def check_trace_orthogonality(F: GF2n,
     Tr(D D'^dag) must equal d exactly when the two labels coincide and 0
     otherwise; the returned list holds the violating label pairs (empty on
     success), in the order of `itertools.combinations_with_replacement` over
-    the labels.  Z_alpha X_beta has one nonzero entry per column c, the sign
-    chi((c + beta) alpha) in row c + beta, so monomials with different beta
-    have disjoint supports and trace 0, and within one beta the traces are
-    the integer Gram matrix of the sign vectors.
+    the labels.  Z_alpha X_beta is the sign row of Z_alpha on the permutation
+    of X_beta, so monomials with different beta have disjoint supports and
+    trace 0, and within one beta the traces are the integer Gram matrix of
+    the sign rows.
     """
     d = F.order
     labelled = [p for c in curves for p in sorted(c) if p != (0, 0)]
-    # chi(a x) = (-1)^tr(a x), the parity of the AND of the coordinate words
-    chi = np.array([[1 - 2 * ((wa & wx).bit_count() & 1) for wx in F.coord_bits]
-                    for wa in F.coord_bits], dtype=np.int64)
-    shifts = np.arange(d)
     by_beta: dict[int, list[int]] = {}
     for k, (_, beta) in enumerate(labelled):
         by_beta.setdefault(beta, []).append(k)
     bad = []
-    for beta, ks in by_beta.items():
-        signs = chi[[labelled[k][0] for k in ks]][:, shifts ^ beta]
+    for ks in by_beta.values():
+        signs = _signs(F, [labelled[k][0] for k in ks])
         wrong = signs @ signs.T != d * np.eye(len(ks), dtype=np.int64)
         bad += [(ks[r], ks[c]) for r, c in zip(*np.nonzero(np.triu(wrong)))]
     return [(labelled[a], labelled[b]) for a, b in sorted(bad)]
@@ -247,6 +247,10 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class BundleReport:
+    """`commuting_sets_valid` is True whenever a report exists: a curve whose
+    monomials do not commute fails `assert_admissible` on its generator
+    pairs, and `verify_bundle` raises NotCommutative instead."""
+
     n: int
     nonintersecting: bool
     commuting_sets_valid: bool
@@ -269,15 +273,11 @@ def verify_bundle(F: GF2n, curves: Sequence[PointSet]) -> BundleReport:
     """
     curves = [assert_admissible(F, c) for c in curves]
     disjoint = all_nonintersecting(curves)
-    sets = [commuting_set(F, c) for c in curves]
-    commuting_ok = all(commutes(F, a, b)
-                       for mons in sets
-                       for a, b in itertools.combinations(mons, 2))
     report = verify_atlas(F, curves)
-    table = tuple(tuple(m.label() for m in mons) for mons in sets)
+    table = tuple(tuple(m.label() for m in commuting_set(F, c)) for c in curves)
     # transpose: one row per monomial slot, one column per curve
     table = tuple(zip(*table)) if table else ()
-    return BundleReport(F.n, disjoint, commuting_ok, report.trace_orthogonal,
+    return BundleReport(F.n, disjoint, True, report.trace_orthogonal,
                         report.unbiased, bundle_structure(F, curves),
                         tuple(tuple(r) for r in table))
 

@@ -304,6 +304,15 @@ class TestMalformedInput:
         with pytest.raises(InputError):
             cli.parse_ops("x@q")
 
+    def test_non_isotropic_seed_curve(self, capsys, tmp_path):
+        # Z and X on qubit 1: an additive subgroup of order 4 that fails the
+        # generator-pair isotropy check, the only commutation check left
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(json.dumps(["b = 0", "b = a", "b = s*a", "b = s^2*a",
+                                     [[0, 0], [2, 0], [0, 2], [2, 2]]]))
+        err = self.assert_input_error(capsys, "verify", "--n", "2", "--seed", str(seeds))
+        assert "not isotropic" in err
+
     def test_missing_seed_file(self, capsys, tmp_path):
         self.assert_input_error(capsys, "verify", "--n", "2",
                                 "--seed", str(tmp_path / "no-such-seed.json"))

@@ -548,6 +548,20 @@ class TestNonintersection:
             assert det == 1
             assert C.nonintersecting(c1, c2)
 
+    @pytest.mark.parametrize("F", [F4, F8], ids=["n2", "n3"])
+    def test_cover_count_equals_pairwise_definition(self, F):
+        atlas = C.enumerate_curves(F)
+        rng = random.Random(F.n)
+        lists = [[], [atlas[0]], [atlas[0], atlas[0]], list(B.ray_bundle(F).curves)]
+        lists += [rng.sample(atlas, rng.randrange(2, F.order + 2)) for _ in range(200)]
+        lists += [c + [rng.choice(c)] for c in lists[4:24]]
+        seen = set()
+        for curves in lists:
+            pairwise = all(C.nonintersecting(p, q) for p, q in itertools.combinations(curves, 2))
+            assert C.all_nonintersecting(curves) == pairwise
+            seen.add(pairwise)
+        assert seen == {False, True}
+
     def test_identical_curves_intersect(self):
         pts = C.point_set(F8, CURVE_431)
         assert not C.nonintersecting(pts, pts)

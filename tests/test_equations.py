@@ -100,15 +100,76 @@ def run_json(capsys, *argv):
     return json.loads(capsys.readouterr().out)
 
 
+def run_lines(capsys, *argv):
+    assert cli.main(list(argv)) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+TEXT_LINE = re.compile(r"  \[(\w+)\] (.+)  partition (\{[\d,]+\})")
+# "; ".join of the two structural equations, each with an optional trace clause
+JOINED = re.compile(r"(.+? = 0(?:; tr\(\S+\*a\) = 0)?); (.+)")
+
+
+def with_equation(record, equation):
+    """The record with its equation fields replaced by one printed string."""
+    record = {k: v for k, v in record.items() if k not in ("explicit", "structural")}
+    if record["kind"] == "exceptional":
+        m = JOINED.fullmatch(equation)
+        assert m, equation
+        record["structural"] = list(m.groups())
+    else:
+        record["explicit"] = equation
+    return record
+
+
+def text_records(capsys, argv):
+    """The `mubc curves` text lines, each checked against the points of the
+    json record in the same position."""
+    lines = run_lines(capsys, "curves", "--n", *argv)[1:]
+    records = run_json(capsys, "curves", "--n", *argv)["curves"]
+    assert len(lines) == len(records)
+    out = []
+    for line, record in zip(lines, records):
+        m = TEXT_LINE.fullmatch(line)
+        assert m and m.group(1, 3) == (record["class"], record["partition"]), line
+        out.append(with_equation(record, m.group(2)))
+    return out
+
+
+def tsv_records(capsys, argv):
+    """The `mubc curves --format tsv` rows: ranks, equation and points as
+    printed, nothing taken from the json rendering."""
+    header, *rows = run_lines(capsys, "curves", "--n", *argv, "--format", "tsv")
+    assert header.split("\t") == ["class", "ranks", "partition", "equation", "points"]
+    out = []
+    for row in rows:
+        cls, ranks, _, equation, points = row.split("\t")
+        record = {"kind": "exceptional" if cls == "Exceptional" else "regular",
+                  "ranks": [int(r) for r in ranks.split(",")],
+                  "points": [m.group(0) for m in POINT.finditer(points)]}
+        assert " ".join(record["points"]) == points, row
+        out.append(with_equation(record, equation))
+    return out
+
+
+RENDERINGS = {
+    "json": lambda capsys, argv: run_json(capsys, "curves", "--n", *argv)["curves"],
+    "text": text_records,
+    "tsv": tsv_records,
+}
 ATLAS_ARGS = [("1",), ("2",), ("3",), ("3", "--modulus", "1101"),
               ("4",), ("4", "--modulus", "11001")]
+ATLAS_IDS = ["n1", "n2", "n3", "n3-1101", "n4", "n4-11001"]
+# the json cases keep their plain ids
+ATLAS_CASES = [(argv, fmt) for fmt in RENDERINGS for argv in ATLAS_ARGS]
+ATLAS_CASE_IDS = [i if fmt == "json" else f"{i}-{fmt}" for fmt in RENDERINGS for i in ATLAS_IDS]
 
 
-@pytest.mark.parametrize("argv", ATLAS_ARGS, ids=["n1", "n2", "n3", "n3-1101", "n4", "n4-11001"])
-def test_atlas_equations_hold(capsys, argv):
+@pytest.mark.parametrize("argv,fmt", ATLAS_CASES, ids=ATLAS_CASE_IDS)
+def test_atlas_equations_hold(capsys, argv, fmt):
     n, *modulus = argv
     F = make_field(int(n), modulus_from_bits(modulus[1]) if modulus else None)
-    records = run_json(capsys, "curves", "--n", *argv)["curves"]
+    records = RENDERINGS[fmt](capsys, argv)
     assert len(records) == [3, 15, 135, 135, 2295, 2295][ATLAS_ARGS.index(argv)]
     for record in records:
         check_record(F, record)

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from mubcurves.errors import InputError, clip
+from mubcurves import bundles as B
 from mubcurves import curves as C
 from mubcurves import pauli as P
 from mubcurves.field import make_field, modulus_from_bits
@@ -52,14 +53,38 @@ class TestMonomials:
         assert P.monomial(F4, s4(1), s4(1)).label() == "Y1"
 
 
+def all_pairs_commute(F, pts):
+    """Oracle: every pair of the nonidentity points, one trace form each."""
+    labels = sorted(set(pts) - {(0, 0)})
+    return all(C.symplectic_trace(F, p, q) == 0 for p, q in itertools.combinations(labels, 2))
+
+
+def regular_tail(F):
+    """The tail of `mubc bundle --strategy regular-tail`, with --phi 1 at
+    n = 2 and --phi s above."""
+    phi = F.primitive
+    return [1] if F.n == 2 else [F.mul(phi, phi)] + [0] * (F.n - 3) + [phi]
+
+
+BUNDLES = {
+    **{f"rays-n{n}": (n, B.ray_bundle) for n in range(1, 5)},
+    **{f"tail-n{n}": (n, lambda F: B.build_regular_bundle(F, regular_tail(F)))
+       for n in range(2, 5)},
+    "closure-n3": (3, lambda F: B.closure_bundle(
+        F, [(s8(6), s8(3), s8(5)), (s8(2), s8(5), s8(6)), (s8(3), 0, 0)])),
+    **{f"search-n{n}": (n, lambda F: B.search_bundles(F)[0]) for n in range(1, 5)},
+}
+
+
 class TestCommutation:
     def test_self_commutes(self):
         m = P.monomial(F4, s4(1), s4(2))
-        assert P.commutes(F4, m, m)
+        assert C.symplectic_trace(F4, m.point, m.point) == 0
 
     def test_anticommuting_example(self):
         # tr(sigma * sigma) = tr(sigma^2) = 1
-        assert not P.commutes(F4, P.monomial(F4, s4(1), 0), P.monomial(F4, 0, s4(1)))
+        assert C.symplectic_trace(F4, (s4(1), 0), (0, s4(1))) == 1
+        assert not all_pairs_commute(F4, {(0, 0), (s4(1), 0), (0, s4(1)), (s4(1), s4(1))})
 
     @pytest.mark.parametrize("F", [F4, F8], ids=["n2", "n3"])
     def test_field_test_equals_bitwise_test(self, F):
@@ -68,7 +93,7 @@ class TestCommutation:
             bitwise = sum((z1 & x2) ^ (z2 & x1)
                           for z1, x1, z2, x2
                           in zip(m1.z_bits, m1.x_bits, m2.z_bits, m2.x_bits)) % 2
-            assert P.commutes(F, m1, m2) == (bitwise == 0)
+            assert (C.symplectic_trace(F, m1.point, m2.point) == 0) == (bitwise == 0)
 
     def test_worked_example_set_431(self):
         curve = C.ParametricCurve((s8(2), 1, s8(4)), (s8(3), s8(6), s8(6)))
@@ -77,7 +102,15 @@ class TestCommutation:
         assert points == {
             (s8(6), s8(5)), (s8(5), s8(6)), (s8(4), s8(2)), (s8(1), s8(1)),
             (1, 1), (s8(2), s8(4)), (s8(3), s8(3))}
-        assert all(P.commutes(F8, m1, m2) for m1, m2 in itertools.combinations(mons, 2))
+        assert all_pairs_commute(F8, points)
+
+    @pytest.mark.parametrize("name", list(BUNDLES))
+    def test_bundle_curves_commute_all_pairs(self, name):
+        # `verify_bundle` checks isotropy on generator pairs only
+        n, build = BUNDLES[name]
+        F = make_field(n)
+        for pts in build(F).curves:
+            assert all_pairs_commute(F, pts)
 
     def test_worked_example_set_432(self):
         curve = C.ParametricCurve((0, 0, s8(2)), (s8(2), 1, s8(1)))

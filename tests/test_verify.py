@@ -15,7 +15,7 @@ from mubcurves import bundles as B
 from mubcurves import curves as C
 from mubcurves import pauli as P
 from mubcurves import verify as V
-from mubcurves.field import make_field
+from mubcurves.field import make_field, modulus_from_bits
 
 from strategies import lagrangians
 
@@ -39,6 +39,29 @@ def ray(F, lam=None):
     if lam is None:
         return frozenset((0, b) for b in F.elements())
     return frozenset((a, F.mul(lam, a)) for a in F.elements())
+
+
+def basis_index(F, c):
+    """Computational-basis index of field element c: its selfdual-coordinate
+    word, qubit 1 the most significant bit."""
+    return F.coord_bits[c]
+
+
+def loop_dense_monomial(F, alpha, beta):
+    """Oracle: Z_alpha X_beta as a signed permutation matrix, entry by entry
+    with `F.mul` and `F.character`:
+    Z_alpha X_beta |c> = chi((c + beta) alpha) |c + beta>."""
+    d = F.order
+    M = np.zeros((d, d), dtype=np.int64)
+    for c in F.elements():
+        M[basis_index(F, c ^ beta), basis_index(F, c)] = F.character(F.mul(c ^ beta, alpha))
+    return M
+
+
+# n = 1..5 under the default moduli, and one other modulus for n = 3 and 4
+ORACLE_FIELDS = [F2, F4, F8, make_field(4), make_field(5),
+                 make_field(3, modulus_from_bits("1101")), make_field(4, modulus_from_bits("11001"))]
+ORACLE_IDS = ["n1", "n2", "n3", "n4", "n5", "n3-1101", "n4-11001"]
 
 
 _SZ = np.array([[1, 0], [0, -1]], dtype=np.int64)
@@ -65,7 +88,7 @@ def tensor_phase(F, alpha, beta):
     phases are +1 and -1.
     """
     m = P.monomial(F, alpha, beta)
-    M1 = V.dense_monomial(F, alpha, beta)
+    M1 = loop_dense_monomial(F, alpha, beta)
     M2 = dense_from_bits(m.z_bits, m.x_bits)
     if np.array_equal(M1, M2):
         return 1
@@ -76,7 +99,7 @@ def tensor_phase(F, alpha, beta):
 
 def eigenphase_exponent(F, vec, p):
     """The exponent e in 0..3 with Z_alpha X_beta v = i^e v."""
-    D = V.dense_monomial(F, *p)
+    D = loop_dense_monomial(F, *p)
     re = np.asarray(vec.re, dtype=object)
     im = np.asarray(vec.im, dtype=object)
     wre = D @ re
@@ -141,7 +164,16 @@ class TestDenseOperators:
         # qubit 1 is the most significant coordinate bit
         for c in F4.elements():
             bits = F4.coords(c)
-            assert V.basis_index(F4, c) == 2 * bits[0] + bits[1]
+            assert basis_index(F4, c) == 2 * bits[0] + bits[1]
+        # so Z on qubit q flips the sign of the rows with bit n - q set
+        for q, theta in enumerate(F4.selfdual_basis):
+            assert np.diag(V.dense_monomial(F4, theta, 0)).tolist() == [
+                1 - 2 * (r >> (1 - q) & 1) for r in range(4)]
+
+    @pytest.mark.parametrize("F", ORACLE_FIELDS, ids=ORACLE_IDS)
+    def test_signed_permutation_matches_loop_oracle(self, F):
+        for a, b in itertools.product(F.elements(), repeat=2):
+            assert np.array_equal(V.dense_monomial(F, a, b), loop_dense_monomial(F, a, b))
 
 
 class TestExactVectors:
@@ -236,7 +268,7 @@ class TestEigenbasis:
 def dense_trace_violations(F, curves):
     """Reference: Tr(D_p D_q^T) of dense matrices for every pair of labels."""
     labelled = [(i, p) for i, c in enumerate(curves) for p in sorted(c) if p != (0, 0)]
-    dense = {p: V.dense_monomial(F, *p) for _, p in labelled}
+    dense = {p: loop_dense_monomial(F, *p) for _, p in labelled}
     bad = []
     for (i, p), (j, q) in itertools.combinations_with_replacement(labelled, 2):
         t = int(np.trace(dense[p] @ dense[q].T))
@@ -364,6 +396,17 @@ class TestVerifyBundle:
         assert rep.structure == (3, 0, 6)
         assert len(rep.operator_table) == 7
         assert all(len(row) == 9 for row in rep.operator_table)
+
+    def test_non_isotropic_curve_raises(self):
+        # Z and X on qubit 1 span an additive subgroup of order 4 whose
+        # generators anticommute; no all-pairs re-check runs after this one
+        theta = F4.selfdual_basis[0]
+        bad = frozenset({(0, 0), (theta, 0), (0, theta), (theta, theta)})
+        assert C.symplectic_trace(F4, (theta, 0), (0, theta)) == 1
+        curves = list(B.ray_bundle(F4).curves)
+        for i in range(len(curves)):
+            with pytest.raises(NotCommutative):
+                V.verify_bundle(F4, curves[:i] + [bad] + curves[i + 1:])
 
     def test_table_glyphs(self):
         rep = V.verify_bundle(F4, B.ray_bundle(F4).curves)
