@@ -27,9 +27,6 @@ from .bundles import (
     search_bundles,
 )
 from .pauli import (
-    PauliMonomial,
-    monomial,
-    commuting_set,
     factorization_partition,
     bundle_structure,
     transform_curve,

@@ -19,7 +19,10 @@ The curve is regular when alpha or beta projects onto the whole field
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
+import struct
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -31,9 +34,11 @@ from .errors import (
     NoStructuralEquation,
     NotAnAdmissibleCurve,
     NotCommutative,
+    clip,
 )
 from .field import (
     GF2n,
+    echelon_basis,
     mat_rank_det,
     subgroup_basis,
     subgroup_span,
@@ -78,7 +83,7 @@ def _additive_eval(F: GF2n, coeffs: Sequence[int], kappa: int) -> int:
     x = kappa
     for c in coeffs:
         out ^= F.mul(c, x)
-        x = F.mul(x, x)
+        x = F.squares[x]
     return out
 
 
@@ -131,12 +136,23 @@ def _trusted(F: GF2n, points: Iterable[Point], gens: Iterable[int]) -> Curve:
     return curve
 
 
-def projection_generators(F: GF2n, curve: Curve) -> tuple[list[int], list[int]]:
-    """The alpha and the beta halves of a Curve's generators: each list
-    spans that projection of the curve, and paired by index they are the
-    generators as points."""
+Echelons = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def echelon_generators(F: GF2n, curve: Curve) -> Echelons:
+    """A Curve's generators in reduced echelon form, packed a << n | b and
+    b << n | a.  The top halves of the rows are the projection's reduced
+    echelon basis (`_top`); when they span the field, row j is s^j over its
+    image under the curve's map to the other axis."""
     low = F.order - 1
-    return [g >> F.n for g in curve.gens], [g & low for g in curve.gens]
+    return (echelon_basis(curve.gens),
+            echelon_basis((g & low) << F.n | g >> F.n for g in curve.gens))
+
+
+def _top(F: GF2n, rows: Sequence[int]) -> tuple[int, ...]:
+    """The nonzero top halves of ascending reduced echelon rows: the rows
+    from the first one at or above 2^n on."""
+    return tuple(r >> F.n for r in rows[bisect.bisect_left(rows, F.order):])
 
 
 def is_admissible(F: GF2n, points: Iterable[Point]) -> bool:
@@ -154,7 +170,8 @@ def assert_admissible(F: GF2n, points: Iterable[Point]) -> Curve:
     O(d n): 2^n field points spanned by n generators, isotropic on generator
     pairs, which suffices because the trace form is bilinear and alternating.
     """
-    if isinstance(points, Curve) and getattr(points, "field", None) == F:
+    field = getattr(points, "field", None)
+    if isinstance(points, Curve) and (field is F or field == F):
         return points
     pts = frozenset(points)
     d = F.order
@@ -193,27 +210,31 @@ class CurveClassification:
     degeneracy_beta: int
 
 
-def _is_ray(F: GF2n, pts: PointSet) -> bool:
+def _is_ray(F: GF2n, curve: Curve) -> bool:
     """A ray is stable under field scaling: (a,b) in it implies (la,lb).
 
-    The d multiples of one nonzero point are d distinct points, so the
-    curve (also d points) is stable exactly when it holds all of them.
+    The curve is additive, so s C in C for the primitive s makes it stable
+    under GF(2)[s], the whole field; and s C in C holds when it holds on the
+    n generators.
     """
-    a, b = max(pts)
-    return all((F.mul(lam, a), F.mul(lam, b)) in pts for lam in F.elements())
+    s, low = F.primitive, F.order - 1
+    return all((F.mul(s, g >> F.n), F.mul(s, g & low)) in curve for g in curve.gens)
 
 
-def classify_points(F: GF2n, points: Iterable[Point]) -> CurveClassification:
+def classify_points(F: GF2n, points: Iterable[Point],
+                    echelons: Optional[Echelons] = None) -> CurveClassification:
     """Regular vs exceptional, with the per-axis ranks and degeneracies.
 
     The ranks are the dimensions of the two projections, read off the
-    curve's n generators.  Regular means at least one of them is the whole
-    field (its parametrising additive map is a bijection); exceptional
-    means both are singular while the curve itself still has 2^n distinct
-    points.
+    curve's `echelon_generators` (or `echelons`, when the caller has them):
+    the count of rows at or above 2^n.  Regular means at least one of them
+    is the whole field (its parametrising additive map is a bijection);
+    exceptional means both are singular while the curve itself still has
+    2^n distinct points.
     """
     pts = assert_admissible(F, points)
-    ra, rb = (len(subgroup_basis(half)) for half in projection_generators(F, pts))
+    ra, rb = (len(rows) - bisect.bisect_left(rows, F.order)
+              for rows in echelons or echelon_generators(F, pts))
     if ra == F.n and rb == F.n:
         variant = "RegularBoth"
     elif ra == F.n:
@@ -270,25 +291,36 @@ class ExplicitCurve:
     coeffs: tuple[int, ...]
 
 
-def explicit_curve(F: GF2n, points: Iterable[Point]) -> ExplicitCurve:
+@functools.lru_cache(maxsize=16)
+def _explicit_table(F: GF2n) -> tuple[tuple[int, ...], ...]:
+    """Row j, entry y: the products y d_j^(2^m), m = 0..n-1, packed as one
+    word with product m at bit m n, for the trace-dual basis d_j of the
+    polynomial basis (tr(d_j s^i) = delta_ij).  Built once per field."""
+    pairing = trace_pairing(F, [1 << j for j in range(F.n)])
+    duals = [pairing.index(1 << j) for j in range(F.n)]
+    return tuple(tuple(sum(F.mul(y, F.frobenius(d, m)) << m * F.n for m in range(F.n))
+                       for y in F.elements()) for d in duals)
+
+
+def explicit_curve(F: GF2n, points: Iterable[Point],
+                   echelons: Optional[Echelons] = None) -> ExplicitCurve:
     """Explicit form of a regular curve, preferring beta = f(alpha).
 
-    Closed form in the selfdual basis: an additive map is
-    L(x) = sum_k L(theta_k) tr(theta_k x), and tr(y) = sum_m y^(2^m), so
-    phi_m = sum_k L(theta_k) theta_k^(2^m), with O(n^2) multiplications.
+    Closed form: with d_j the trace-dual basis of 1, s, ..., s^(n-1), an
+    additive map is L(x) = sum_j L(s^j) tr(d_j x), and tr(y) =
+    sum_m y^(2^m), so phi_m = sum_j L(s^j) d_j^(2^m): the XOR of n
+    `_explicit_table` words, read at the images L(s^j) that the rows of the
+    curve's `echelon_generators` (or `echelons`) carry.  No product is left.
     """
     pts = assert_admissible(F, points)
-    for orientation, axis in (("alpha_form", 0), ("beta_form", 1)):
-        value_of = dict(pts) if axis == 0 else {b: a for a, b in pts}
-        if len(value_of) != F.order:
-            continue
-        phi = [0] * F.n
-        for theta in F.selfdual_basis:
-            image, power = value_of[theta], theta
-            for m in range(F.n):
-                phi[m] ^= F.mul(image, power)
-                power = F.mul(power, power)
-        return ExplicitCurve(orientation, tuple(phi))
+    low = F.order - 1
+    for orientation, rows in zip(("alpha_form", "beta_form"),
+                                 echelons or echelon_generators(F, pts)):
+        if rows[0] >> F.n:
+            word = 0
+            for table, row in zip(_explicit_table(F), rows):
+                word ^= table[row & low]
+            return ExplicitCurve(orientation, tuple(word >> m * F.n & low for m in range(F.n)))
     raise NoExplicitForm("neither coordinate map is invertible; curve is exceptional")
 
 
@@ -333,23 +365,26 @@ class StructuralEquation:
         return out ^ F.frobenius(x, self.rank)
 
 
-def annihilator(F: GF2n, group: Iterable[int]) -> StructuralEquation:
+@functools.lru_cache(maxsize=4096)
+def annihilator(F: GF2n, basis: tuple[int, ...]) -> StructuralEquation:
     """The monic additive polynomial of degree 2^r whose roots are the
-    subgroup spanned by `group` (a generating set will do).
+    subgroup with this reduced echelon basis (`echelon_basis` of any
+    generating set), so that it is built once per field and subgroup.
 
-    Closed form: the subspace polynomial, built over a basis g_1..g_r by
+    Closed form: the subspace polynomial, built over the basis g_1..g_r by
     P <- P^2 + P(g) P from P = x; each step doubles the roots to the span
-    with g, so the result is prod_{a in group} (x - a), with O(r^2)
+    with g, so the result is prod_{a in the subgroup} (x - a), with O(r^2)
     multiplications.  As P is additive, vanishing on the basis is vanishing
-    on the whole group.
+    on the whole subgroup.
     """
-    basis = subgroup_basis(group)
+    if echelon_basis(basis) != basis:
+        raise InputError(f"{clip(basis)} is not a reduced echelon basis")
     if len(basis) == F.n:
         raise NoStructuralEquation("the whole field has no nontrivial annihilator")
     coeffs = [1]            # c[m] of x^(2^m), monic term last
     for g in basis:
         value = _additive_eval(F, coeffs, g)
-        squares = [0] + [F.mul(c, c) for c in coeffs]
+        squares = [0] + [F.squares[c] for c in coeffs]
         coeffs = [s ^ F.mul(value, c) for s, c in zip(squares, coeffs + [0])]
     eq = StructuralEquation(tuple(coeffs[:-1]))
     if any(eq.eval(F, g) for g in basis):  # pragma: no cover
@@ -375,15 +410,16 @@ def trace_witness(F: GF2n, eq: StructuralEquation) -> int:
 
 
 def structural_equations(
-        F: GF2n, points: Iterable[Point]
+        F: GF2n, points: Iterable[Point],
+        echelons: Optional[Echelons] = None
 ) -> tuple[StructuralEquation, StructuralEquation]:
-    """Annihilators of the alpha- and beta-projections, spanned by the halves
-    of the curve's generators, with trace witnesses attached when the
-    corresponding degeneracy is exactly 2."""
+    """Annihilators of the alpha- and beta-projections, read off the curve's
+    `echelon_generators` (or `echelons`), with trace witnesses attached when
+    the corresponding degeneracy is exactly 2."""
     pts = assert_admissible(F, points)
     out = []
-    for half in projection_generators(F, pts):
-        eq = annihilator(F, half)
+    for rows in echelons or echelon_generators(F, pts):
+        eq = annihilator(F, _top(F, rows))
         if eq.rank == F.n - 1:
             eq = StructuralEquation(eq.coeffs, trace_witness(F, eq))
         out.append(eq)
@@ -505,7 +541,17 @@ def enumerate_curves(F: GF2n, kind: Optional[str] = None) -> list[Curve]:
                 curve = _trusted(F, pts, t_gens + f)
                 if kind is None or kind == _kind(F, r, curve):
                     curves.append(curve)
-    return sorted(curves, key=sorted)
+    return sorted(curves, key=_sort_key)
+
+
+def _sort_key(curve: Curve) -> bytes:
+    """The curve's points packed as a << n | b, ascending, two big-endian
+    bytes each: as bytes they order like `sorted(curve)`."""
+    span = [0]
+    for g in curve.gens:
+        span += [x ^ g for x in span]
+    span.sort()
+    return struct.pack(f">{len(span)}H", *span)
 
 
 def _kind(F: GF2n, r: int, pts: PointSet) -> str:

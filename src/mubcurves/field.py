@@ -2,12 +2,13 @@
 
 Field elements are plain integers whose binary digits are the coordinates
 in the polynomial basis {1, s, s^2, ..., s^{n-1}}, where s is the class of
-x modulo the defining polynomial.  Addition is XOR; multiplication goes
-through precomputed discrete-log tables (the fields have at most 32
-elements, so every table is built eagerly at construction).  Qubits read
-the selfdual coordinates a_k = tr(a theta_k), packed in `coord_bits[a]` with
-qubit 1 as the top bit; as tr(theta_k theta_l) = delta_kl, the trace form is
-tr(a b) = parity(coord_bits[a] & coord_bits[b]), and every pairing reads it.
+x modulo the defining polynomial.  Addition is XOR; multiplication and
+squaring go through precomputed discrete-log and square tables (the fields
+have at most 32 elements, so every table is built eagerly at construction).
+Qubits read the selfdual coordinates a_k = tr(a theta_k), packed in
+`coord_bits[a]` with qubit 1 as the top bit; as tr(theta_k theta_l) =
+delta_kl, the trace form is tr(a b) = parity(coord_bits[a] & coord_bits[b]),
+and every pairing reads it.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ class GF2n:
     order : number of elements, 2^n.
     primitive : generator of the multiplicative group.
     log_table / antilog_table : discrete logs base `primitive`.
+    squares : squares[a] = a^2, the Frobenius as a table.
     trace_table : per-element trace in {0, 1}.
     selfdual_basis : tuple (theta_1, ..., theta_n) with tr(t_k t_l) = delta.
     coord_bits : selfdual coordinate words; bit n-k of coord_bits[a] is
@@ -123,6 +125,7 @@ class GF2n:
             x = _poly_mulmod(x, self.primitive, self.modulus)
         if x != 1:
             raise InvalidModulus(f"element {self.primitive} is not primitive for modulus {modulus:#b}")
+        self.squares = [self.mul(a, a) for a in range(self.order)]
 
         self.trace_table = [self._trace_slow(a) for a in range(self.order)]
         if sum(self.trace_table) != self.order // 2:
@@ -194,10 +197,9 @@ class GF2n:
         return self.mul(a, self.inv(b))
 
     def frobenius(self, a: int, k: int = 1) -> int:
-        x = a
         for _ in range(k % self.n):
-            x = self.mul(x, x)
-        return x
+            a = self.squares[a]
+        return a
 
     def trace(self, a: int) -> int:
         return self.trace_table[a]
@@ -209,12 +211,6 @@ class GF2n:
         return self.antilog_table[k % (self.order - 1)]
 
     # -- bases and coordinates -----------------------------------------------
-
-    def coords(self, a: int) -> tuple[int, ...]:
-        """Selfdual coordinates (tr(a theta_1), ..., tr(a theta_n)): the bits
-        of `coord_bits[a]`, qubit 1 first."""
-        w = self.coord_bits[a]
-        return tuple(w >> k & 1 for k in range(self.n - 1, -1, -1))
 
     def find_selfdual_basis(self) -> tuple[int, ...]:
         """Exhaustive search for tr(theta_k theta_l) = delta_{k,l}.
@@ -407,6 +403,21 @@ def subgroup_basis(group: Iterable[int]) -> list[int]:
             reduced.append(x)
             basis.append(g)
     return basis
+
+
+def echelon_basis(words: Iterable[int]) -> tuple[int, ...]:
+    """The reduced echelon basis of the span of `words`, ascending: no row
+    holds another row's leading bit, so each subgroup has exactly one."""
+    rows: list[int] = []
+    for x in words:
+        for r in rows:
+            if x ^ r < x:       # x holds the leading bit of r
+                x ^= r
+        if x:
+            rows = [r ^ x if r ^ x < r else r for r in rows]
+            rows.append(x)
+    rows.sort()
+    return tuple(rows)
 
 
 def trace_pairing(F: GF2n, gens: Sequence[int]) -> list[int]:

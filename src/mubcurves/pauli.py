@@ -11,50 +11,20 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InputError, clip
-from .curves import (
-    Point,
-    PointSet,
-    assert_admissible,
-    projection_generators,
-)
+from .curves import Point, PointSet, assert_admissible
 from .field import GF2n
 
 _GLYPHS = {(0, 0): "1", (1, 0): "Z", (0, 1): "X", (1, 1): "Y"}
 
 
-@dataclass(frozen=True)
-class PauliMonomial:
-    """A displacement operator label: field point plus its qubit bit rows."""
-
-    alpha: int
-    beta: int
-    z_bits: tuple[int, ...]
-    x_bits: tuple[int, ...]
-
-    @property
-    def point(self) -> Point:
-        return self.alpha, self.beta
-
-    def glyphs(self) -> tuple[str, ...]:
-        """Per-qubit single-letter factors, e.g. ('Z', 'Y', '1')."""
-        return tuple(_GLYPHS[zb, xb] for zb, xb in zip(self.z_bits, self.x_bits))
-
-    def label(self) -> str:
-        return "".join(self.glyphs())
-
-
-def monomial(F: GF2n, alpha: int, beta: int) -> PauliMonomial:
-    return PauliMonomial(alpha, beta, F.coords(alpha), F.coords(beta))
-
-
-def commuting_set(F: GF2n, points: Iterable[Point]) -> list[PauliMonomial]:
-    """The 2^n - 1 nonidentity monomials of an admissible curve, sorted by point."""
-    pts = assert_admissible(F, points)
-    return [monomial(F, a, b) for a, b in sorted(pts) if (a, b) != (0, 0)]
+def monomial_label(F: GF2n, alpha: int, beta: int) -> str:
+    """The single-qubit factors of Z_alpha X_beta as one string, qubit 1
+    first (e.g. "ZY1"), read off the selfdual words of alpha and beta."""
+    z, x = F.coord_bits[alpha], F.coord_bits[beta]
+    return "".join(_GLYPHS[z >> k & 1, x >> k & 1] for k in range(F.n - 1, -1, -1))
 
 
 # -- factorization structure -----------------------------------------------------
@@ -113,9 +83,8 @@ def factorization_partition(F: GF2n,
     do: the partitions valid for every clash word are the AND of the
     words' `_partition_validity` masks, and the finest is its lowest bit.
     """
-    words = F.coord_bits
-    gens = [(words[a], words[b])
-            for a, b in zip(*projection_generators(F, assert_admissible(F, points)))]
+    low, words = F.order - 1, F.coord_bits
+    gens = [(words[g >> F.n], words[g & low]) for g in assert_admissible(F, points).gens]
     validity, valid = _partition_validity(F.n), -1
     for (z1, x1), (z2, x2) in itertools.combinations(gens, 2):
         valid &= validity[(z1 & x2) ^ (z2 & x1)]

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InputError, NotCommutative
 from .curves import Point, PointSet, all_nonintersecting, assert_admissible, point_generators
 from .field import GF2n
-from .pauli import bundle_structure, commuting_set
+from .pauli import bundle_structure, monomial_label
 
 # -- dense operators ---------------------------------------------------------------
 
@@ -77,17 +77,16 @@ class ExactVector:
         return (np.array(self.re) + 1j * np.array(self.im)) * scale
 
 
-def _gram(ar: np.ndarray, ai: np.ndarray,
-          br: np.ndarray, bi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of A^dag B for integer column matrices.
+def _gram(ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray,
+          a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of A^dag B for integer column matrices whose
+    entries are at most a and b in absolute value.
 
     Refuses inputs whose Gram entries g could overflow int64, including the
-    later d * |g|^2 of the unbiasedness test: with entries at most a and b in
-    absolute value, |Re g|, |Im g| <= 2 d a b, so d |g|^2 <= 8 d^3 a^2 b^2.
+    later d * |g|^2 of the unbiasedness test: |Re g|, |Im g| <= 2 d a b, so
+    d |g|^2 <= 8 d^3 a^2 b^2.
     """
     d = ar.shape[0]
-    a = max(int(np.abs(ar).max()), int(np.abs(ai).max()))
-    b = max(int(np.abs(br).max()), int(np.abs(bi).max()))
     if 8 * d ** 3 * (a * b) ** 2 >= 1 << 63:
         raise OverflowError(f"Gram entries of {d}-dimensional vectors could overflow int64")
     return ar.T @ br + ai.T @ bi, ar.T @ bi - ai.T @ br
@@ -100,7 +99,8 @@ def _gram(ar: np.ndarray, ai: np.ndarray,
 class MubBasis:
     """An orthonormal eigenbasis of one curve's commuting monomial set.
 
-    Column k of `re + i im` is the k-th basis vector times 2^(norm_exps[k]/2).
+    Column k of `re + i im` is the k-th basis vector times 2^(norm_exps[k]/2),
+    and no entry of `re` or `im` exceeds `entry_bound` in absolute value.
     """
 
     points: PointSet
@@ -109,6 +109,7 @@ class MubBasis:
     re: np.ndarray
     im: np.ndarray
     norm_exps: np.ndarray
+    entry_bound: int
 
     @property
     def vectors(self) -> tuple[ExactVector, ...]:
@@ -169,7 +170,8 @@ def eigenbasis(F: GF2n, points: Iterable[Point]) -> MubBasis:
             raise InputError(f"eigenvector norm^2 = {norm2} is not a power of 2")
         norm_exps.append(e)
     norm_exps = np.array(norm_exps, dtype=np.int64)
-    gre, gim = _gram(re, im, re, im)
+    bound = max(int(np.abs(re).max()), int(np.abs(im).max()))
+    gre, gim = _gram(re, im, re, im, bound, bound)
     if gim.any() or not np.array_equal(gre, np.diag(np.left_shift(1, norm_exps))):
         raise NotCommutative("eigenbasis columns are not orthogonal")
     # row j: the exponent e with D_j v = i^e v, per column v
@@ -179,7 +181,7 @@ def eigenbasis(F: GF2n, points: Iterable[Point]) -> MubBasis:
         if not (np.array_equal(sign[j] * re[perm[j]], cos * re - sin * im)
                 and np.array_equal(sign[j] * im[perm[j]], sin * re + cos * im)):
             raise NotCommutative("eigenbasis columns are not joint eigenvectors")
-    return MubBasis(pts, tuple(map(tuple, labels.T.tolist())), re, im, norm_exps)
+    return MubBasis(pts, tuple(map(tuple, labels.T.tolist())), re, im, norm_exps, bound)
 
 
 def _distinct_columns(re: np.ndarray, im: np.ndarray,
@@ -227,7 +229,7 @@ def unbiasedness_overlaps(b1: MubBasis, b2: MubBasis) -> list[Fraction]:
 def check_unbiased(F: GF2n, b1: MubBasis, b2: MubBasis) -> bool:
     """Every cross overlap |<u|v>|^2 must equal exactly 1/2^n, tested as the
     integer identity d |<u|v>|^2 == |u|^2 |v|^2 = 2^(e_u + e_v)."""
-    re, im = _gram(b1.re, b1.im, b2.re, b2.im)
+    re, im = _gram(b1.re, b1.im, b2.re, b2.im, b1.entry_bound, b2.entry_bound)
     want = np.left_shift(1, b1.norm_exps[:, None] + b2.norm_exps[None, :])
     return bool(np.array_equal(F.order * (re * re + im * im), want))
 
@@ -274,7 +276,8 @@ def verify_bundle(F: GF2n, curves: Sequence[PointSet]) -> BundleReport:
     curves = [assert_admissible(F, c) for c in curves]
     disjoint = all_nonintersecting(curves)
     report = verify_atlas(F, curves)
-    table = tuple(tuple(m.label() for m in commuting_set(F, c)) for c in curves)
+    table = tuple(tuple(monomial_label(F, a, b) for a, b in sorted(c) if (a, b) != (0, 0))
+                  for c in curves)
     # transpose: one row per monomial slot, one column per curve
     table = tuple(zip(*table)) if table else ()
     return BundleReport(F.n, disjoint, True, report.trace_orthogonal,

@@ -27,6 +27,7 @@ from mubcurves import field as FLD
 from mubcurves import pauli as P
 from mubcurves import verify as V
 from mubcurves.field import (
+    echelon_basis,
     make_field,
     mat_rank_det,
     mat_solve,
@@ -379,7 +380,7 @@ class TestStructuralEquations:
     def test_regular_projection_has_no_annihilator(self):
         pts = C.point_set(F8, CURVE_431)
         with pytest.raises(NoStructuralEquation):
-            C.annihilator(F8, {a for a, _ in pts})
+            C.annihilator(F8, echelon_basis(a for a, _ in pts))
 
 
 class TestExceptionalConstructors:
@@ -730,11 +731,39 @@ class TestClosedForms:
                 group = {p[axis] for p in pts}
                 if len(group) == F.order:
                     with pytest.raises(NoStructuralEquation):
-                        C.annihilator(F, group)
+                        C.annihilator(F, echelon_basis(group))
                     continue
-                eq = C.annihilator(F, group)
+                eq = C.annihilator(F, echelon_basis(group))
                 assert eq.coeffs == moore_annihilator(F, group)
                 assert {x for x in F.elements() if eq.eval(F, x) == 0} == group
+
+    @pytest.mark.parametrize("warm,cold", [("10011", "11001"), ("11001", "10011")])
+    def test_annihilator_memo_is_per_field(self, warm, cold):
+        """With every proper subgroup memoised under one n = 4 modulus, the
+        other modulus still gets its own Moore-system annihilators."""
+        C.annihilator.cache_clear()
+        F_warm, F_cold = (make_field(4, modulus_from_bits(bits)) for bits in (warm, cold))
+        bases = [b for r in range(4) for b in C._subspace_bases(4, r)]
+        assert len(bases) == 66 and all(echelon_basis(b) == b for b in bases)
+        warmed = [C.annihilator(F_warm, b) for b in bases]
+        assert C.annihilator.cache_info().currsize == 66
+        cold_eqs = [C.annihilator(F_cold, b) for b in bases]
+        assert all(eq.coeffs == moore_annihilator(F_cold, subgroup_span(b))
+                   for eq, b in zip(cold_eqs, bases))
+        assert warmed != cold_eqs   # the memo must not hand one field's polynomials to the other
+
+    def test_annihilator_needs_a_reduced_echelon_basis(self):
+        assert echelon_basis([1, 3]) == (1, 2)
+        with pytest.raises(InputError):
+            C.annihilator(F16, (1, 3))
+
+    @pytest.mark.parametrize("F", ORACLE_FIELDS + [make_field(5)], ids=ORACLE_IDS + ["n5"])
+    def test_atlas_order_is_the_sorted_point_order(self, F):
+        """Sorting on the packed words of the span gives the order of
+        `key=sorted` over the (a, b) points, at n <= 4 and at n = 5."""
+        atlas = C.enumerate_curves(F)
+        assert atlas == sorted(atlas, key=sorted)
+        assert len({C._sort_key(c) for c in atlas}) == len(atlas)   # no ties
 
     @pytest.mark.parametrize("F", ORACLE_FIELDS, ids=ORACLE_IDS)
     def test_is_ray_against_scaling_closure(self, F):
@@ -759,6 +788,8 @@ class TestClosedForms:
 
         monkeypatch.setattr(P, "_set_partitions", counted)
         P._partition_table.cache_clear()
+        C.annihilator.cache_clear()
+        C._explicit_table.cache_clear()
         assert cli.main(["curves", "--n", "4"]) == 0
         assert cli.main(["curves", "--n", "4", "--modulus", "11001"]) == 0
         assert cli.main(["curves", "--n", "3"]) == 0
@@ -802,7 +833,7 @@ def oracle_structural_equations(F, points):
     out = []
     for axis in (0, 1):
         proj = {p[axis] for p in pts}
-        eq = C.annihilator(F, proj)
+        eq = C.annihilator(F, echelon_basis(proj))
         if len(proj) == F.order // 2:
             eq = C.StructuralEquation(eq.coeffs, oracle_trace_witness(F, proj))
         out.append(eq)
@@ -872,7 +903,7 @@ class TestGeneratorRecords:
         hyperplanes = [subgroup_span(basis) for basis in C._subspace_bases(n, n - 1)]
         assert len(set(hyperplanes)) == F.order - 1
         for H in hyperplanes:
-            eq = C.annihilator(F, H)
+            eq = C.annihilator(F, echelon_basis(H))
             xi = C.trace_witness(F, eq)
             assert xi == oracle_trace_witness(F, H)
             assert {x for x in F.elements() if F.trace(F.mul(xi, x)) == 0} == H
@@ -882,9 +913,11 @@ class TestGeneratorRecords:
 
     def test_curves_command_reads_generators(self, capsys, monkeypatch):
         """`mubc curves --n 4` makes no `point_generators` or
-        `trace_orthogonal_complement` call, and no `subgroup_basis` call on
-        more than n elements."""
+        `trace_orthogonal_complement` call, and no `subgroup_basis` or
+        `echelon_basis` call on more than n elements, also with cold memos."""
         calls = collections.defaultdict(list)
+        C.annihilator.cache_clear()
+        C._explicit_table.cache_clear()
 
         def counting(name, f):
             def counted(*args):
@@ -893,14 +926,16 @@ class TestGeneratorRecords:
                 return f(*args)
             return counted
 
-        for name in ("point_generators", "trace_orthogonal_complement", "subgroup_basis"):
+        for name in ("point_generators", "trace_orthogonal_complement", "subgroup_basis",
+                     "echelon_basis"):
             original = getattr(C if name == "point_generators" else FLD, name)
             for mod in (mubcurves, FLD, C, P, V, B, cli):
                 if getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, counting(name, original))
         assert cli.main(["curves", "--n", "4"]) == 0
         assert calls["point_generators"] == [] and calls["trace_orthogonal_complement"] == []
-        assert calls["subgroup_basis"] and max(calls["subgroup_basis"]) <= 4
+        assert calls["echelon_basis"] and max(calls["echelon_basis"]) <= 4
+        assert max(calls["subgroup_basis"], default=0) <= 4
         # negative control: a plain point set still goes through the points
         C.classify_points(F16, frozenset(C.enumerate_curves(F16)[0]))
         assert len(calls["point_generators"]) == 1 and max(calls["subgroup_basis"]) == 16

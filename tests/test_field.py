@@ -12,6 +12,7 @@ from mubcurves.errors import (
     UnsupportedDegree,
 )
 from mubcurves.field import (
+    echelon_basis,
     is_irreducible,
     make_field,
     mat_rank_det,
@@ -23,6 +24,8 @@ from mubcurves.field import (
     trace_orthogonal_complement,
     trace_pairing,
 )
+
+from monomials import coords
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -163,14 +166,14 @@ class TestBases:
         # a = sum_k tr(a theta_k) theta_k in a selfdual basis
         for a in F.elements():
             total = 0
-            for bit, theta in zip(F.coords(a), F.selfdual_basis):
+            for bit, theta in zip(coords(F, a), F.selfdual_basis):
                 total ^= theta if bit else 0
             assert total == a
 
     def test_coords_examples(self):
-        assert F4.coords(F4.primitive) == (1, 0)
-        assert F4.coords(0) == (0, 0)
-        assert F4.coords(1) == (1, 1)  # 1 = sigma + sigma^2
+        assert coords(F4, F4.primitive) == (1, 0)
+        assert coords(F4, 0) == (0, 0)
+        assert coords(F4, 1) == (1, 1)  # 1 = sigma + sigma^2
 
 
 COORD_FIELDS = [make_field(n) for n in range(1, 6)] + [
@@ -189,8 +192,8 @@ class TestSelfdualCoordinates:
 
     def test_coords_are_msb_first_bits(self, F):
         for x in F.elements():
-            assert F.coords(x) == tuple(int(c) for c in format(F.coord_bits[x], f"0{F.n}b"))
-            assert F.coords(x) == tuple(F.trace(F.mul(x, t)) for t in F.selfdual_basis)
+            assert coords(F, x) == tuple(int(c) for c in format(F.coord_bits[x], f"0{F.n}b"))
+            assert coords(F, x) == tuple(F.trace(F.mul(x, t)) for t in F.selfdual_basis)
 
     def test_coords_in_polynomial_basis_are_the_element_bits(self, F):
         # bit k of x is tr(x d_k) for the dual basis d of 1, s, ..., s^(n-1),
@@ -299,6 +302,22 @@ class TestLinearAlgebra:
             assert basis == sorted(basis) and set(basis) <= set(group)
             assert subgroup_span(basis) == subgroup_span(group)
             assert len(subgroup_span(basis)) == 1 << len(basis)
+
+    def test_echelon_basis_is_one_per_subgroup(self):
+        assert echelon_basis([6, 4, 3]) == (1, 2, 4)
+        assert echelon_basis([0, 0]) == ()
+        rng = random.Random(5)
+        for _ in range(300):
+            words = [rng.randrange(1024) for _ in range(rng.randrange(7))]
+            rows = echelon_basis(words)
+            assert rows == tuple(sorted(rows)) and subgroup_span(rows) == subgroup_span(words)
+            assert len(subgroup_span(rows)) == 1 << len(rows)
+            # no row holds another row's leading bit
+            assert all(not r >> (q.bit_length() - 1) & 1 for r in rows for q in rows if r != q)
+            # another generating set of the same span, in another order
+            other = list(subgroup_span(words))
+            rng.shuffle(other)
+            assert echelon_basis(other) == rows
 
     def test_subgroup_helpers(self):
         span = subgroup_span([2, 4])

@@ -17,6 +17,7 @@ from mubcurves import pauli as P
 from mubcurves import verify as V
 from mubcurves.field import make_field, modulus_from_bits
 
+from monomials import coords, monomial
 from strategies import lagrangians
 
 F2 = make_field(1)
@@ -87,7 +88,7 @@ def tensor_phase(F, alpha, beta):
     Both sides are real signed permutations, so the only possible global
     phases are +1 and -1.
     """
-    m = P.monomial(F, alpha, beta)
+    m = monomial(F, alpha, beta)
     M1 = loop_dense_monomial(F, alpha, beta)
     M2 = dense_from_bits(m.z_bits, m.x_bits)
     if np.array_equal(M1, M2):
@@ -163,7 +164,7 @@ class TestDenseOperators:
     def test_basis_index_msb(self):
         # qubit 1 is the most significant coordinate bit
         for c in F4.elements():
-            bits = F4.coords(c)
+            bits = coords(F4, c)
             assert basis_index(F4, c) == 2 * bits[0] + bits[1]
         # so Z on qubit q flips the sign of the rows with bit n - q set
         for q, theta in enumerate(F4.selfdual_basis):
@@ -316,9 +317,15 @@ class TestUnbiasedness:
     def test_gram_refuses_possible_int64_overflow(self):
         small = np.ones((4, 4), dtype=np.int64)
         big = small << 20           # 8 d^3 (2^20 * 2^20)^2 >= 2^63 at d = 4
-        assert V._gram(small, small, small, small)[0].tolist() == [[8] * 4] * 4
+        assert V._gram(small, small, small, small, 1, 1)[0].tolist() == [[8] * 4] * 4
         with pytest.raises(OverflowError):
-            V._gram(big, small, big, small)
+            V._gram(big, small, big, small, 1 << 20, 1 << 20)
+
+    def test_entry_bound_is_the_largest_entry(self):
+        for F in (F4, F8):
+            for c in B.ray_bundle(F).curves:
+                b = V.eigenbasis(F, c)
+                assert b.entry_bound == max(np.abs(b.re).max(), np.abs(b.im).max())
 
     def test_same_basis_delta_pattern(self):
         b1 = V.eigenbasis(F4, ray(F4, 1))
