@@ -94,10 +94,10 @@ def fmt_partition(part: Sequence[Sequence[int]]) -> str:
 
 def curve_record(F: GF2n, pts: C.PointSet) -> dict:
     """Class, ranks, partition and equation of a curve; the JSON record adds
-    `"points": fmt_points(F, pts)`.  The generators are reduced once."""
+    `"points": fmt_points(F, pts)`.  One Curve serves every step, so its
+    generators are reduced once."""
     pts = C.assert_admissible(F, pts)
-    echelons = C.echelon_generators(F, pts)
-    cls = C.classify_points(F, pts, echelons)
+    cls = C.classify_points(F, pts)
     rec = {
         "class": cls.variant,
         "kind": cls.kind,
@@ -105,9 +105,9 @@ def curve_record(F: GF2n, pts: C.PointSet) -> dict:
         "partition": fmt_partition(P.factorization_partition(F, pts)),
     }
     if cls.kind == "regular":
-        rec["explicit"] = fmt_explicit(F, C.explicit_curve(F, pts, echelons))
+        rec["explicit"] = fmt_explicit(F, C.explicit_curve(F, pts))
     else:
-        ea, eb = C.structural_equations(F, pts, echelons)
+        ea, eb = C.structural_equations(F, pts)
         rec["structural"] = [_fmt_structural(F, ea, "a"), _fmt_structural(F, eb, "b")]
     return rec
 

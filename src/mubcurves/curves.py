@@ -121,10 +121,13 @@ class Curve(frozenset):
     `assert_admissible` or built admissible by `enumerate_curves`.  `gens`
     holds n points that span it, packed as a << n | b like
     `point_generators`; whatever does not depend on the choice of basis
-    (ranks, projections, clash words) is read from them.  Set operations on
-    a Curve give plain frozensets, which are checked afresh."""
+    (ranks, projections, clash words) is read from them.  On first use,
+    `echelon_generators` puts them in reduced echelon form and keeps the
+    same points packed b << n | a, reduced too, in `cogens` (None until
+    then).  Set operations on a Curve give plain frozensets, which are
+    checked afresh."""
 
-    __slots__ = ("field", "gens")
+    __slots__ = ("field", "gens", "cogens")
 
 
 def _trusted(F: GF2n, points: Iterable[Point], gens: Iterable[int]) -> Curve:
@@ -133,6 +136,7 @@ def _trusted(F: GF2n, points: Iterable[Point], gens: Iterable[int]) -> Curve:
     curve = Curve(points)
     curve.field = F
     curve.gens = tuple(gens)
+    curve.cogens = None
     return curve
 
 
@@ -143,10 +147,13 @@ def echelon_generators(F: GF2n, curve: Curve) -> Echelons:
     """A Curve's generators in reduced echelon form, packed a << n | b and
     b << n | a.  The top halves of the rows are the projection's reduced
     echelon basis (`_top`); when they span the field, row j is s^j over its
-    image under the curve's map to the other axis."""
-    low = F.order - 1
-    return (echelon_basis(curve.gens),
-            echelon_basis((g & low) << F.n | g >> F.n for g in curve.gens))
+    image under the curve's map to the other axis.  Reduced once per Curve,
+    in place: the Curve keeps no second copy of its generators."""
+    if curve.cogens is None:
+        low = F.order - 1
+        curve.cogens = echelon_basis((g & low) << F.n | g >> F.n for g in curve.gens)
+        curve.gens = echelon_basis(curve.gens)
+    return curve.gens, curve.cogens
 
 
 def _top(F: GF2n, rows: Sequence[int]) -> tuple[int, ...]:
@@ -170,8 +177,7 @@ def assert_admissible(F: GF2n, points: Iterable[Point]) -> Curve:
     O(d n): 2^n field points spanned by n generators, isotropic on generator
     pairs, which suffices because the trace form is bilinear and alternating.
     """
-    field = getattr(points, "field", None)
-    if isinstance(points, Curve) and (field is F or field == F):
+    if isinstance(points, Curve) and getattr(points, "field", None) == F:
         return points
     pts = frozenset(points)
     d = F.order
@@ -213,28 +219,26 @@ class CurveClassification:
 def _is_ray(F: GF2n, curve: Curve) -> bool:
     """A ray is stable under field scaling: (a,b) in it implies (la,lb).
 
-    The curve is additive, so s C in C for the primitive s makes it stable
-    under GF(2)[s], the whole field; and s C in C holds when it holds on the
-    n generators.
+    The curve is additive, so w C in C for a primitive element w makes it
+    stable under GF(2)[w], the whole field; and w C in C holds when it holds
+    on the n generators.
     """
-    s, low = F.primitive, F.order - 1
-    return all((F.mul(s, g >> F.n), F.mul(s, g & low)) in curve for g in curve.gens)
+    w, low = F.primitive, F.order - 1
+    return all((F.mul(w, g >> F.n), F.mul(w, g & low)) in curve for g in curve.gens)
 
 
-def classify_points(F: GF2n, points: Iterable[Point],
-                    echelons: Optional[Echelons] = None) -> CurveClassification:
+def classify_points(F: GF2n, points: Iterable[Point]) -> CurveClassification:
     """Regular vs exceptional, with the per-axis ranks and degeneracies.
 
     The ranks are the dimensions of the two projections, read off the
-    curve's `echelon_generators` (or `echelons`, when the caller has them):
-    the count of rows at or above 2^n.  Regular means at least one of them
-    is the whole field (its parametrising additive map is a bijection);
-    exceptional means both are singular while the curve itself still has
-    2^n distinct points.
+    curve's `echelon_generators`: the count of rows at or above 2^n.
+    Regular means at least one of them is the whole field (its
+    parametrising additive map is a bijection); exceptional means both are
+    singular while the curve itself still has 2^n distinct points.
     """
     pts = assert_admissible(F, points)
     ra, rb = (len(rows) - bisect.bisect_left(rows, F.order)
-              for rows in echelons or echelon_generators(F, pts))
+              for rows in echelon_generators(F, pts))
     if ra == F.n and rb == F.n:
         variant = "RegularBoth"
     elif ra == F.n:
@@ -302,20 +306,18 @@ def _explicit_table(F: GF2n) -> tuple[tuple[int, ...], ...]:
                        for y in F.elements()) for d in duals)
 
 
-def explicit_curve(F: GF2n, points: Iterable[Point],
-                   echelons: Optional[Echelons] = None) -> ExplicitCurve:
+def explicit_curve(F: GF2n, points: Iterable[Point]) -> ExplicitCurve:
     """Explicit form of a regular curve, preferring beta = f(alpha).
 
     Closed form: with d_j the trace-dual basis of 1, s, ..., s^(n-1), an
     additive map is L(x) = sum_j L(s^j) tr(d_j x), and tr(y) =
     sum_m y^(2^m), so phi_m = sum_j L(s^j) d_j^(2^m): the XOR of n
     `_explicit_table` words, read at the images L(s^j) that the rows of the
-    curve's `echelon_generators` (or `echelons`) carry.  No product is left.
+    curve's `echelon_generators` carry.  No product is left.
     """
     pts = assert_admissible(F, points)
     low = F.order - 1
-    for orientation, rows in zip(("alpha_form", "beta_form"),
-                                 echelons or echelon_generators(F, pts)):
+    for orientation, rows in zip(("alpha_form", "beta_form"), echelon_generators(F, pts)):
         if rows[0] >> F.n:
             word = 0
             for table, row in zip(_explicit_table(F), rows):
@@ -410,15 +412,14 @@ def trace_witness(F: GF2n, eq: StructuralEquation) -> int:
 
 
 def structural_equations(
-        F: GF2n, points: Iterable[Point],
-        echelons: Optional[Echelons] = None
+        F: GF2n, points: Iterable[Point]
 ) -> tuple[StructuralEquation, StructuralEquation]:
     """Annihilators of the alpha- and beta-projections, read off the curve's
-    `echelon_generators` (or `echelons`), with trace witnesses attached when
-    the corresponding degeneracy is exactly 2."""
+    `echelon_generators`, with trace witnesses attached when the
+    corresponding degeneracy is exactly 2."""
     pts = assert_admissible(F, points)
     out = []
-    for rows in echelons or echelon_generators(F, pts):
+    for rows in echelon_generators(F, pts):
         eq = annihilator(F, _top(F, rows))
         if eq.rank == F.n - 1:
             eq = StructuralEquation(eq.coeffs, trace_witness(F, eq))

@@ -12,7 +12,7 @@ whole cross-Gram matrices at once.  No verdict rests on a float.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -99,8 +99,9 @@ def _gram(ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray,
 class MubBasis:
     """An orthonormal eigenbasis of one curve's commuting monomial set.
 
-    Column k of `re + i im` is the k-th basis vector times 2^(norm_exps[k]/2),
-    and no entry of `re` or `im` exceeds `entry_bound` in absolute value.
+    Column k of `re + i im` is the k-th basis vector times 2^(norm_exps[k]/2).
+    `entry_bound`, the largest absolute entry of `re` and `im`, is read off
+    them once, on construction.
     """
 
     points: PointSet
@@ -109,7 +110,11 @@ class MubBasis:
     re: np.ndarray
     im: np.ndarray
     norm_exps: np.ndarray
-    entry_bound: int
+    entry_bound: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entry_bound",
+                           max(int(np.abs(self.re).max()), int(np.abs(self.im).max())))
 
     @property
     def vectors(self) -> tuple[ExactVector, ...]:
@@ -170,18 +175,18 @@ def eigenbasis(F: GF2n, points: Iterable[Point]) -> MubBasis:
             raise InputError(f"eigenvector norm^2 = {norm2} is not a power of 2")
         norm_exps.append(e)
     norm_exps = np.array(norm_exps, dtype=np.int64)
-    bound = max(int(np.abs(re).max()), int(np.abs(im).max()))
-    gre, gim = _gram(re, im, re, im, bound, bound)
-    if gim.any() or not np.array_equal(gre, np.diag(np.left_shift(1, norm_exps))):
-        raise NotCommutative("eigenbasis columns are not orthogonal")
     # row j: the exponent e with D_j v = i^e v, per column v
     labels = (codes >> 2 * np.arange(len(gens) - 1, -1, -1)[:, None]) & 3
+    basis = MubBasis(pts, tuple(map(tuple, labels.T.tolist())), re, im, norm_exps)
+    gre, gim = _gram(re, im, re, im, basis.entry_bound, basis.entry_bound)
+    if gim.any() or not np.array_equal(gre, np.diag(np.left_shift(1, norm_exps))):
+        raise NotCommutative("eigenbasis columns are not orthogonal")
     for j, e in enumerate(labels):
         cos, sin = np.array([1, 0, -1, 0])[e], np.array([0, 1, 0, -1])[e]
         if not (np.array_equal(sign[j] * re[perm[j]], cos * re - sin * im)
                 and np.array_equal(sign[j] * im[perm[j]], sin * re + cos * im)):
             raise NotCommutative("eigenbasis columns are not joint eigenvectors")
-    return MubBasis(pts, tuple(map(tuple, labels.T.tolist())), re, im, norm_exps, bound)
+    return basis
 
 
 def _distinct_columns(re: np.ndarray, im: np.ndarray,

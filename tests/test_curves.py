@@ -940,3 +940,23 @@ class TestGeneratorRecords:
         C.classify_points(F16, frozenset(C.enumerate_curves(F16)[0]))
         assert len(calls["point_generators"]) == 1 and max(calls["subgroup_basis"]) == 16
         capsys.readouterr()
+
+    def test_record_reduces_each_curve_once(self, monkeypatch):
+        """A record reduces a Curve's generators once per orientation, for
+        classification, explicit form and structural equations together."""
+        for curve in C.enumerate_curves(F16):
+            cli.curve_record(F16, curve)    # warm the annihilator memo
+        atlas = C.enumerate_curves(F16)
+        calls = []
+        original = C.echelon_basis
+        monkeypatch.setattr(C, "echelon_basis", lambda words: calls.append(1) or original(words))
+        records = [cli.curve_record(F16, curve) for curve in atlas]
+        assert len(calls) == 2 * len(atlas)
+        assert [cli.curve_record(F16, curve) for curve in atlas] == records
+        assert len(calls) == 2 * len(atlas)
+        # the reduced generators still span their curve
+        for curve in atlas:
+            assert {(g >> 4, g & 15) for g in subgroup_span(curve.gens)} == curve
+        # a plain point set becomes one Curve per record, reduced once too
+        cli.curve_record(F16, frozenset(atlas[0]))
+        assert len(calls) == 2 * len(atlas) + 2

@@ -327,6 +327,17 @@ class TestUnbiasedness:
                 b = V.eigenbasis(F, c)
                 assert b.entry_bound == max(np.abs(b.re).max(), np.abs(b.im).max())
 
+    def test_hand_built_basis_cannot_slip_past_the_overflow_check(self):
+        """The bound is read off the entries, never supplied, so a MubBasis
+        built outside `eigenbasis` with huge entries is still refused."""
+        b = V.eigenbasis(F4, ray(F4, 1))
+        with pytest.raises(TypeError):
+            V.MubBasis(b.points, b.labels, b.re, b.im, b.norm_exps, 1)
+        big = V.MubBasis(b.points, b.labels, b.re << 20, -(b.im << 20), b.norm_exps)
+        assert big.entry_bound == b.entry_bound << 20
+        with pytest.raises(OverflowError):
+            V.check_unbiased(F4, big, big)
+
     def test_same_basis_delta_pattern(self):
         b1 = V.eigenbasis(F4, ray(F4, 1))
         got = [u.overlap_sq(v) for u in b1.vectors for v in b1.vectors]
