@@ -3,15 +3,19 @@
 Z_alpha X_beta is a signed permutation read off the selfdual words of alpha
 and beta.  Every joint eigenvector of a curve's commuting set is a stabilizer
 state: a Gaussian-integer vector whose squared norm is a power of 2
-(Dehaene & De Moor, PRA 68, 042318, 2003).  Eigenbases are therefore built
-by integer projector splitting on (real, imaginary) int64 matrices, and
-unbiasedness is the integer identity d |<u|v>|^2 == |u|^2 |v|^2, tested on
-whole cross-Gram matrices at once.  No verdict rests on a float.
+(Dehaene & De Moor, PRA 68, 042318, 2003).  An eigenbasis is therefore built
+in closed form, as one such vector and its translates by the monomials of a
+complement of the curve (Aaronson & Gottesman, PRA 70, 052328, 2004), on
+(real, imaginary) int64 matrices.  Unbiasedness is the integer identity
+d |<u|v>|^2 == |u|^2 |v|^2, tested in one cross-Gram product per basis
+against all later bases.  The products run in float64 BLAS under an
+asserted bound that keeps every partial sum an integer below 2^53, hence
+exact, and are cast to int64 before any comparison: no verdict rests on a
+float.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -20,18 +24,17 @@ import numpy as np
 
 from .errors import InputError, NotCommutative
 from .curves import Point, PointSet, all_nonintersecting, assert_admissible, point_generators
-from .field import GF2n
+from .field import GF2n, echelon_basis
 from .pauli import bundle_structure, monomial_label
 
 # -- dense operators ---------------------------------------------------------------
 
 
-def _signs(F: GF2n, alphas: Sequence[int]) -> np.ndarray:
-    """Row k, column r: (-1)^popcount(r & w), w the selfdual word of
-    alphas[k]; the diagonal of Z_alphas[k], qubit 1 the most significant bit."""
-    words = np.array([F.coord_bits[a] for a in alphas], dtype=np.int64)
+def _signs(words: np.ndarray, d: int) -> np.ndarray:
+    """Row k, column r < d: (-1)^popcount(r & words[k]); for the selfdual
+    word of alpha, the diagonal of Z_alpha, qubit 1 the most significant bit."""
     # bitwise_count gives uint8, in which 1 - 2 * 1 would wrap to 255
-    odd = (np.bitwise_count(words[:, None] & np.arange(F.order)) & 1).astype(np.int64)
+    odd = (np.bitwise_count(np.asarray(words)[:, None] & np.arange(d)) & 1).astype(np.int64)
     return 1 - 2 * odd
 
 
@@ -40,7 +43,7 @@ def dense_monomial(F: GF2n, alpha: int, beta: int) -> np.ndarray:
     sign of Z_alpha at r in column r ^ w, w the selfdual word of beta."""
     rows = np.arange(F.order)
     M = np.zeros((F.order, F.order), dtype=np.int64)
-    M[rows, rows ^ F.coord_bits[beta]] = _signs(F, [alpha])[0]
+    M[rows, rows ^ F.coord_bits[beta]] = _signs([F.coord_bits[alpha]], F.order)[0]
     return M
 
 
@@ -79,17 +82,22 @@ class ExactVector:
 
 def _gram(ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray,
           a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of A^dag B for integer column matrices whose
-    entries are at most a and b in absolute value.
+    """Real and imaginary parts of A^dag B, as int64, for integer column
+    matrices whose entries are at most a and b in absolute value.
 
     Refuses inputs whose Gram entries g could overflow int64, including the
     later d * |g|^2 of the unbiasedness test: |Re g|, |Im g| <= 2 d a b, so
-    d |g|^2 <= 8 d^3 a^2 b^2.
+    d |g|^2 <= 8 d^3 a^2 b^2.  Below that bound 2 d a b < 2^31, so every
+    partial sum of the float64 BLAS products is an integer below 2^53 and
+    exact in any order; the sums are cast back to int64 before any caller
+    compares them.
     """
     d = ar.shape[0]
     if 8 * d ** 3 * (a * b) ** 2 >= 1 << 63:
         raise OverflowError(f"Gram entries of {d}-dimensional vectors could overflow int64")
-    return ar.T @ br + ai.T @ bi, ar.T @ bi - ai.T @ br
+    ar, ai, br, bi = (m.astype(np.float64) for m in (ar, ai, br, bi))
+    return ((ar.T @ br + ai.T @ bi).astype(np.int64),
+            (ar.T @ bi - ai.T @ br).astype(np.int64))
 
 
 # -- eigenbasis construction -------------------------------------------------------
@@ -126,77 +134,74 @@ class MubBasis:
 def eigenbasis(F: GF2n, points: Iterable[Point]) -> MubBasis:
     """Exact common eigenbasis of the curve's nonidentity monomials.
 
-    The identity is split by one generator monomial at a time: for D with
-    D^2 = I each column v gives v +- D v, for D^2 = -I it gives v -+ i D v.
-    After k generators every column is 2^k P e_j for a joint eigenprojector
-    P and a basis vector e_j, so two columns with the same label are either
-    proportional or supported on disjoint cosets; one column per label and
-    leading row is kept.  Columns are reduced by the gcd of their entries and
-    sorted by their tuple of eigenvalue exponents, so the result is
-    deterministic.  The result is checked exactly: d one-dimensional
-    eigenspaces, power-of-2 norms, orthogonal columns, and each column a
-    joint eigenvector with its label.
+    One joint eigenvector v0 is cut out of e_0 by one generator monomial D
+    at a time: for D^2 = I it keeps whichever of v + Dv (eigenvalue +1) and
+    v - Dv (-1) is nonzero, for D^2 = -I whichever of v + iDv (-i) and
+    v - iDv (+i).  v0 is reduced by the gcd of its entries.  The other
+    columns are its translates Z_u X_x v0, (u | x) running over the 2^n
+    words spanned by the unit words that are not pivots of the echelon basis
+    of the generators' (z | x) words: a complement of the curve, so every
+    translate has its own label, v0's plus 2 x its symplectic parities with
+    the generators.  Columns are sorted by their tuple of eigenvalue
+    exponents, so the result is deterministic.  The result is checked
+    exactly: d distinct labels, a power-of-2 norm, orthogonal columns, and
+    each column a joint eigenvector with its label.
     """
     pts = assert_admissible(F, points)
-    d = F.order
-    re = np.eye(d, dtype=np.int64)
-    im = np.zeros((d, d), dtype=np.int64)
-    codes = np.zeros(d, dtype=np.int64)     # labels as base-4 numbers
+    d, n = F.order, F.n
     gens = point_generators(F, pts)
-    # generator j maps the columns x to sign[j] * x[perm[j]]
-    sign = _signs(F, [a for a, _ in gens])[:, :, None]
-    perm = np.arange(d) ^ np.array([F.coord_bits[b] for _, b in gens])[:, None]
-    # entries stay within 2^len(gens) = d in absolute value: no int64 overflow
+    z = np.array([F.coord_bits[a] for a, _ in gens])
+    x = np.array([F.coord_bits[b] for _, b in gens])
+    # generator j maps a vector v to sign[j] * v[perm[j]]
+    sign, perm = _signs(z, d), np.arange(d) ^ x[:, None]
+    # v0 = v + i w, kept as its integer real and imaginary parts
+    v, w = np.zeros(d, dtype=np.int64), np.zeros(d, dtype=np.int64)
+    v[0] = 1
+    exps = []
+    # entries stay within 2^n = d in absolute value: no int64 overflow
     for j, g in enumerate(gens):
-        dre, dim = sign[j] * re[perm[j]], sign[j] * im[perm[j]]
+        dv, dw = sign[j] * v[perm[j]], sign[j] * w[perm[j]]
         if monomial_square_sign(F, *g) == 1:
-            # D^2 = I: v + Dv has eigenvalue +1, v - Dv has -1
-            re = np.hstack([re + dre, re - dre])
-            im = np.hstack([im + dim, im - dim])
-            exps = (0, 2)
+            branches = ((v + dv, w + dw, 0), (v - dv, w - dw, 2))
         else:
-            # D^2 = -I: v + iDv has eigenvalue -i, v - iDv has +i
-            re = np.hstack([re - dim, re + dim])
-            im = np.hstack([im + dre, im - dre])
-            exps = (3, 1)
-        codes = np.concatenate([4 * codes + exps[0], 4 * codes + exps[1]])
-        re, im, codes = _distinct_columns(re, im, codes)
-    codes, order, dims = np.unique(codes, return_index=True, return_counts=True)
-    if len(codes) != d or dims.max() != 1:
-        raise NotCommutative(f"{len(codes)} common eigenspaces, of dimension up to "
-                             f"{dims.max()}; generators do not split fully")
-    re, im = re[:, order], im[:, order]
-    g = np.gcd.reduce(np.vstack([re, im]), axis=0)
-    re, im = re // g, im // g
-    norm_exps = []
-    for norm2 in (re * re + im * im).sum(axis=0).tolist():
-        e = norm2.bit_length() - 1
-        if norm2 != 1 << e:
-            raise InputError(f"eigenvector norm^2 = {norm2} is not a power of 2")
-        norm_exps.append(e)
-    norm_exps = np.array(norm_exps, dtype=np.int64)
-    # row j: the exponent e with D_j v = i^e v, per column v
-    labels = (codes >> 2 * np.arange(len(gens) - 1, -1, -1)[:, None]) & 3
-    basis = MubBasis(pts, tuple(map(tuple, labels.T.tolist())), re, im, norm_exps)
+            branches = ((v - dw, w + dv, 3), (v + dw, w - dv, 1))
+        v, w, e = next(b for b in branches if b[0].any() or b[1].any())
+        exps.append(e)
+    g = np.gcd.reduce(np.concatenate([v, w]))
+    v, w = v // g, w // g
+    norm2 = int((v * v + w * w).sum())
+    e = norm2.bit_length() - 1
+    if norm2 != 1 << e:
+        raise InputError(f"eigenvector norm^2 = {norm2} is not a power of 2")
+    # column k translates v by the complement word k: z part u[k], x part t[k]
+    pivots = {r.bit_length() - 1 for r in echelon_basis((z << n | x).tolist())}
+    free = [q for q in range(2 * n) if q not in pivots]
+    words = sum((np.arange(d) >> i & 1) << q for i, q in enumerate(free))
+    u, t = words >> n, words & d - 1
+    odd = np.bitwise_count((u[:, None] & x) ^ (t[:, None] & z)) & 1
+    labels = (np.array(exps) + 2 * odd.astype(np.int64)) & 3
+    codes = labels @ (4 ** np.arange(len(gens) - 1, -1, -1))    # labels as base-4 numbers
+    order = np.argsort(codes)
+    if not np.diff(codes[order]).all():
+        raise NotCommutative(f"{len(set(codes.tolist()))} distinct labels among {d} columns; "
+                             "generators do not split fully")
+    u, t, labels = u[order], t[order], labels[order]
+    at = np.arange(d)[:, None] ^ t      # column k reads row r of v at r ^ t[k]
+    flip = _signs(u, d).T
+    re, im = flip * v[at], flip * w[at]
+    basis = MubBasis(pts, tuple(map(tuple, labels.tolist())), re, im,
+                     np.full(d, e, dtype=np.int64))
     gre, gim = _gram(re, im, re, im, basis.entry_bound, basis.entry_bound)
-    if gim.any() or not np.array_equal(gre, np.diag(np.left_shift(1, norm_exps))):
+    if gim.any() or not np.array_equal(gre, np.diag(np.full(d, 1 << e))):
         raise NotCommutative("eigenbasis columns are not orthogonal")
-    for j, e in enumerate(labels):
-        cos, sin = np.array([1, 0, -1, 0])[e], np.array([0, 1, 0, -1])[e]
-        if not (np.array_equal(sign[j] * re[perm[j]], cos * re - sin * im)
-                and np.array_equal(sign[j] * im[perm[j]], sin * re + cos * im)):
-            raise NotCommutative("eigenbasis columns are not joint eigenvectors")
+    # D_j (re + i im) == i^label (re + i im) for every generator j at once
+    cos = np.array([1, 0, -1, 0])[labels.T][:, None]
+    sin = np.array([0, 1, 0, -1])[labels.T][:, None]
+    sign = sign[:, :, None]
+    if not (np.array_equal(sign * re[perm], cos * re - sin * im)
+            and np.array_equal(sign * im[perm], sin * re + cos * im)):
+        raise NotCommutative("eigenbasis columns are not joint eigenvectors")
     return basis
-
-
-def _distinct_columns(re: np.ndarray, im: np.ndarray,
-                      codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Drop zero columns and all but the first column per (label, leading row)."""
-    nonzero = (re != 0) | (im != 0)
-    live = np.flatnonzero(nonzero.any(axis=0))
-    key = codes[live] * re.shape[0] + nonzero[:, live].argmax(axis=0)
-    keep = live[np.sort(np.unique(key, return_index=True)[1])]
-    return re[:, keep], im[:, keep], codes[keep]
 
 
 # -- MUB checks --------------------------------------------------------------------
@@ -221,7 +226,7 @@ def check_trace_orthogonality(F: GF2n,
         by_beta.setdefault(beta, []).append(k)
     bad = []
     for ks in by_beta.values():
-        signs = _signs(F, [labelled[k][0] for k in ks])
+        signs = _signs([F.coord_bits[labelled[k][0]] for k in ks], d)
         wrong = signs @ signs.T != d * np.eye(len(ks), dtype=np.int64)
         bad += [(ks[r], ks[c]) for r, c in zip(*np.nonzero(np.triu(wrong)))]
     return [(labelled[a], labelled[b]) for a, b in sorted(bad)]
@@ -233,7 +238,8 @@ def unbiasedness_overlaps(b1: MubBasis, b2: MubBasis) -> list[Fraction]:
 
 def check_unbiased(F: GF2n, b1: MubBasis, b2: MubBasis) -> bool:
     """Every cross overlap |<u|v>|^2 must equal exactly 1/2^n, tested as the
-    integer identity d |<u|v>|^2 == |u|^2 |v|^2 = 2^(e_u + e_v)."""
+    integer identity d |<u|v>|^2 == |u|^2 |v|^2 = 2^(e_u + e_v).  b2 may
+    hold the columns of several bases side by side, as `verify_atlas` passes."""
     re, im = _gram(b1.re, b1.im, b2.re, b2.im, b1.entry_bound, b2.entry_bound)
     want = np.left_shift(1, b1.norm_exps[:, None] + b2.norm_exps[None, :])
     return bool(np.array_equal(F.order * (re * re + im * im), want))
@@ -291,15 +297,27 @@ def verify_bundle(F: GF2n, curves: Sequence[PointSet]) -> BundleReport:
 
 
 def verify_atlas(F: GF2n, curves: Sequence[PointSet]) -> VerificationReport:
-    """Build every eigenbasis exactly and check pairwise unbiasedness."""
+    """Build every eigenbasis exactly and check pairwise unbiasedness.
+
+    Each basis is checked against the column stack of all later bases in
+    one product.  A row that fails is checked again pair by pair to name its
+    failures, skipping identical point sets (a basis is not unbiased to
+    itself), so `failures` lists index pairs in `itertools.combinations`
+    order.
+    """
     curves = [assert_admissible(F, c) for c in curves]
     trace_orthogonal = not check_trace_orthogonality(F, curves)
     bases = [eigenbasis(F, c) for c in curves]
     failures = []
-    for i, j in itertools.combinations(range(len(bases)), 2):
-        if bases[i].points == bases[j].points:
-            continue
-        if not check_unbiased(F, bases[i], bases[j]):
-            failures.append((i, j))
+    if bases:
+        re, im = np.hstack([b.re for b in bases]), np.hstack([b.im for b in bases])
+        norm_exps = np.concatenate([b.norm_exps for b in bases])
+    for i, b in enumerate(bases[:-1]):
+        cols = slice((i + 1) * F.order, None)
+        # the later bases side by side, one MubBasis with no points or labels
+        if not check_unbiased(F, b, MubBasis(frozenset(), (), re[:, cols], im[:, cols],
+                                             norm_exps[cols])):
+            failures += [(i, j) for j, c in enumerate(bases[i + 1:], i + 1)
+                         if c.points != b.points and not check_unbiased(F, b, c)]
     return VerificationReport(F.n, len(bases), trace_orthogonal, not failures,
                               tuple(failures))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,10 +16,11 @@ from mubcurves import bundles as B
 from mubcurves import curves as C
 from mubcurves import pauli as P
 from mubcurves import verify as V
-from mubcurves.field import make_field, modulus_from_bits
+from mubcurves.field import echelon_basis, make_field, modulus_from_bits, subgroup_span
 
 from monomials import coords, monomial
 from strategies import lagrangians
+from test_pauli import BUNDLES
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -63,6 +65,9 @@ def loop_dense_monomial(F, alpha, beta):
 ORACLE_FIELDS = [F2, F4, F8, make_field(4), make_field(5),
                  make_field(3, modulus_from_bits("1101")), make_field(4, modulus_from_bits("11001"))]
 ORACLE_IDS = ["n1", "n2", "n3", "n4", "n5", "n3-1101", "n4-11001"]
+# the atlas fields among them: n = 1..4, both moduli at n = 3 and 4
+ATLAS_FIELDS = [F for F in ORACLE_FIELDS if F.n < 5]
+ATLAS_IDS = [i for i, F in zip(ORACLE_IDS, ORACLE_FIELDS) if F.n < 5]
 
 
 _SZ = np.array([[1, 0], [0, -1]], dtype=np.int64)
@@ -110,6 +115,133 @@ def eigenphase_exponent(F, vec, p):
                 and np.array_equal(wim, fr * im + fi * re)):
             return e
     raise NotCommutative(f"vector is not an eigenvector of monomial {p}")
+
+
+# -- oracles: the splitting eigenbasis and the int64 Gram --------------------------
+
+
+def splitting_signs(F, alphas):
+    """Row k, column r: (-1)^popcount(r & w), w the selfdual word of
+    alphas[k]; the diagonal of Z_alphas[k], qubit 1 the most significant bit."""
+    words = np.array([F.coord_bits[a] for a in alphas], dtype=np.int64)
+    # bitwise_count gives uint8, in which 1 - 2 * 1 would wrap to 255
+    odd = (np.bitwise_count(words[:, None] & np.arange(F.order)) & 1).astype(np.int64)
+    return 1 - 2 * odd
+
+
+def int64_gram(ar, ai, br, bi, a, b):
+    """Real and imaginary parts of A^dag B for integer column matrices whose
+    entries are at most a and b in absolute value, in int64 arithmetic.
+
+    Refuses inputs whose Gram entries g could overflow int64, including the
+    later d * |g|^2 of the unbiasedness test: |Re g|, |Im g| <= 2 d a b, so
+    d |g|^2 <= 8 d^3 a^2 b^2.
+    """
+    d = ar.shape[0]
+    if 8 * d ** 3 * (a * b) ** 2 >= 1 << 63:
+        raise OverflowError(f"Gram entries of {d}-dimensional vectors could overflow int64")
+    return ar.T @ br + ai.T @ bi, ar.T @ bi - ai.T @ br
+
+
+def splitting_eigenbasis(F, points):
+    """Oracle for `eigenbasis`: the identity split by one generator at a time.
+
+    The identity is split by one generator monomial at a time: for D with
+    D^2 = I each column v gives v +- D v, for D^2 = -I it gives v -+ i D v.
+    After k generators every column is 2^k P e_j for a joint eigenprojector
+    P and a basis vector e_j, so two columns with the same label are either
+    proportional or supported on disjoint cosets; one column per label and
+    leading row is kept.  Columns are reduced by the gcd of their entries and
+    sorted by their tuple of eigenvalue exponents, so the result is
+    deterministic.  The result is checked exactly: d one-dimensional
+    eigenspaces, power-of-2 norms, orthogonal columns, and each column a
+    joint eigenvector with its label.
+    """
+    pts = C.assert_admissible(F, points)
+    d = F.order
+    re = np.eye(d, dtype=np.int64)
+    im = np.zeros((d, d), dtype=np.int64)
+    codes = np.zeros(d, dtype=np.int64)     # labels as base-4 numbers
+    gens = C.point_generators(F, pts)
+    # generator j maps the columns x to sign[j] * x[perm[j]]
+    sign = splitting_signs(F, [a for a, _ in gens])[:, :, None]
+    perm = np.arange(d) ^ np.array([F.coord_bits[b] for _, b in gens])[:, None]
+    # entries stay within 2^len(gens) = d in absolute value: no int64 overflow
+    for j, g in enumerate(gens):
+        dre, dim = sign[j] * re[perm[j]], sign[j] * im[perm[j]]
+        if V.monomial_square_sign(F, *g) == 1:
+            # D^2 = I: v + Dv has eigenvalue +1, v - Dv has -1
+            re = np.hstack([re + dre, re - dre])
+            im = np.hstack([im + dim, im - dim])
+            exps = (0, 2)
+        else:
+            # D^2 = -I: v + iDv has eigenvalue -i, v - iDv has +i
+            re = np.hstack([re - dim, re + dim])
+            im = np.hstack([im + dre, im - dre])
+            exps = (3, 1)
+        codes = np.concatenate([4 * codes + exps[0], 4 * codes + exps[1]])
+        re, im, codes = distinct_columns(re, im, codes)
+    codes, order, dims = np.unique(codes, return_index=True, return_counts=True)
+    if len(codes) != d or dims.max() != 1:
+        raise NotCommutative(f"{len(codes)} common eigenspaces, of dimension up to "
+                             f"{dims.max()}; generators do not split fully")
+    re, im = re[:, order], im[:, order]
+    g = np.gcd.reduce(np.vstack([re, im]), axis=0)
+    re, im = re // g, im // g
+    norm_exps = []
+    for norm2 in (re * re + im * im).sum(axis=0).tolist():
+        e = norm2.bit_length() - 1
+        if norm2 != 1 << e:
+            raise InputError(f"eigenvector norm^2 = {norm2} is not a power of 2")
+        norm_exps.append(e)
+    norm_exps = np.array(norm_exps, dtype=np.int64)
+    # row j: the exponent e with D_j v = i^e v, per column v
+    labels = (codes >> 2 * np.arange(len(gens) - 1, -1, -1)[:, None]) & 3
+    basis = V.MubBasis(pts, tuple(map(tuple, labels.T.tolist())), re, im, norm_exps)
+    gre, gim = int64_gram(re, im, re, im, basis.entry_bound, basis.entry_bound)
+    if gim.any() or not np.array_equal(gre, np.diag(np.left_shift(1, norm_exps))):
+        raise NotCommutative("eigenbasis columns are not orthogonal")
+    for j, e in enumerate(labels):
+        cos, sin = np.array([1, 0, -1, 0])[e], np.array([0, 1, 0, -1])[e]
+        if not (np.array_equal(sign[j] * re[perm[j]], cos * re - sin * im)
+                and np.array_equal(sign[j] * im[perm[j]], sin * re + cos * im)):
+            raise NotCommutative("eigenbasis columns are not joint eigenvectors")
+    return basis
+
+
+def distinct_columns(re, im, codes):
+    """Drop zero columns and all but the first column per (label, leading row)."""
+    nonzero = (re != 0) | (im != 0)
+    live = np.flatnonzero(nonzero.any(axis=0))
+    key = codes[live] * re.shape[0] + nonzero[:, live].argmax(axis=0)
+    keep = live[np.sort(np.unique(key, return_index=True)[1])]
+    return re[:, keep], im[:, keep], codes[keep]
+
+
+def int64_unbiased(F, b1, b2):
+    """Oracle for `check_unbiased`: the cross Gram in int64 arithmetic."""
+    re, im = int64_gram(b1.re, b1.im, b2.re, b2.im, b1.entry_bound, b2.entry_bound)
+    want = np.left_shift(1, b1.norm_exps[:, None] + b2.norm_exps[None, :])
+    return bool(np.array_equal(F.order * (re * re + im * im), want))
+
+
+def pairwise_failures(F, curves):
+    """Oracle for `verify_atlas(...).failures`: one int64 product per pair,
+    identical point sets skipped."""
+    bases = [V.eigenbasis(F, c) for c in curves]
+    return tuple((i, j) for i, j in itertools.combinations(range(len(bases)), 2)
+                 if bases[i].points != bases[j].points
+                 and not int64_unbiased(F, bases[i], bases[j]))
+
+
+def assert_same_basis(got, want):
+    """Equal labels in the same order, equal norm exponents, and each column
+    the oracle's times one unit in {1, -1, i, -i}."""
+    assert got.labels == want.labels
+    assert np.array_equal(got.norm_exps, want.norm_exps)
+    units = [(want.re, want.im), (-want.re, -want.im), (-want.im, want.re), (want.im, -want.re)]
+    match = [((got.re == re) & (got.im == im)).all(axis=0) for re, im in units]
+    assert np.logical_or.reduce(match).all()
 
 
 class TestDenseOperators:
@@ -261,9 +393,42 @@ class TestEigenbasis:
         with pytest.raises(NotCommutative):
             V.eigenbasis(F4, pts)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_non_isotropic_subgroup_rejected(self, n):
+        """Every subgroup of order 2^n that is not isotropic, passed as if
+        validated.  Some pass the label and orthogonality checks and only the
+        joint-eigenvector check rejects them, such as {(0, 0), (1, 0), (2, 2),
+        (3, 2)} at n = 2, generated by ZZ and Y1: e_0 is cut down to
+        (|0> - i|1>)|0>, whose translates by the complement are orthogonal and
+        distinctly labelled, but which is no eigenvector of ZZ."""
+        F = make_field(n)
+        low, found = F.order - 1, 0
+        for basis in {echelon_basis(g) for g in itertools.combinations(range(1, 1 << 2 * n), n)}:
+            pts = frozenset((w >> n, w & low) for w in subgroup_span(basis))
+            if len(basis) < n or C.is_commutative(F, pts):
+                continue
+            found += 1
+            with pytest.raises(NotCommutative):
+                V.eigenbasis(F, C._trusted(F, pts, basis))
+        assert found == {2: 20, 3: 1260}[n]
+
     def test_labels_sorted_and_distinct(self):
         basis = V.eigenbasis(F4, ray(F4, 1))
         assert list(basis.labels) == sorted(set(basis.labels))
+
+    @pytest.mark.parametrize("F", ATLAS_FIELDS, ids=ATLAS_IDS)
+    def test_closed_form_matches_splitting_oracle(self, F):
+        for pts in C.enumerate_curves(F):
+            assert_same_basis(V.eigenbasis(F, pts), splitting_eigenbasis(F, pts))
+
+
+F32 = make_field(5)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lagrangians(F32))
+def test_closed_form_matches_splitting_oracle_at_n5(curve):
+    assert_same_basis(V.eigenbasis(F32, curve), splitting_eigenbasis(F32, curve))
 
 
 def dense_trace_violations(F, curves):
@@ -359,10 +524,59 @@ class TestUnbiasedness:
         assert not rep.unbiased and rep.failures == ((0, 1),)
 
     def test_verify_atlas_skips_identical_point_sets(self):
-        rep = V.verify_atlas(F4, [ray(F4, 0), ray(F4, 0)])
+        curves = [ray(F4, 0), ray(F4, 0)]
+        rep = V.verify_atlas(F4, curves)
         # a repeated curve is not compared with itself; its labels still collide
         assert rep.unbiased and rep.failures == () and rep.num_bases == 2
         assert not rep.trace_orthogonal
+        assert rep.failures == pairwise_failures(F4, curves)
+
+    @pytest.mark.parametrize("d", range(2, 33))
+    def test_float_gram_is_exact_at_the_bound(self, d):
+        """Entries at the largest bounds `_gram` admits, equal and lopsided:
+        every Gram entry equals the Python-integer product, and one step past
+        the bound is refused."""
+        rng = np.random.default_rng(d)
+        most = math.isqrt(((1 << 63) - 1) // (8 * d ** 3))    # the largest a b admitted
+        for a in (math.isqrt(most), 1):
+            b = most // a
+            assert 8 * d ** 3 * (a * b) ** 2 < 1 << 63 <= 8 * d ** 3 * (a * (b + 1)) ** 2
+            mats = [a * rng.choice([-1, 1], (d, d)), a * rng.choice([-1, 1], (d, d)),
+                    b * rng.choice([-1, 1], (d, d)), b * rng.choice([-1, 1], (d, d))]
+            # all entries +a and +b: every partial sum is as large as it can be
+            for ar, ai, br, bi in (mats, [np.full((d, d), a)] * 2 + [np.full((d, d), b)] * 2):
+                re, im = V._gram(ar, ai, br, bi, a, b)
+                assert re.dtype == im.dtype == np.int64
+                o = [m.astype(object) for m in (ar, ai, br, bi)]
+                assert (re == o[0].T @ o[2] + o[1].T @ o[3]).all()
+                assert (im == o[0].T @ o[3] - o[1].T @ o[2]).all()
+            with pytest.raises(OverflowError):
+                V._gram(ar, ai, br, bi, a, b + 1)
+
+    @pytest.mark.parametrize("case", [*BUNDLES, "rays-n5"])
+    def test_row_blocks_match_int64_pairs(self, case):
+        n, build = BUNDLES.get(case, (5, B.ray_bundle))
+        F = make_field(n)
+        curves = build(F).curves
+        rep = V.verify_atlas(F, curves)
+        assert rep.failures == pairwise_failures(F, curves) == ()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_row_blocks_match_int64_pairs_on_negative_controls(self, n):
+        """A genuine bundle with one curve swapped for an atlas curve that
+        meets another member: the failures name the same pairs."""
+        F, rng = make_field(n), random.Random(n)
+        atlas = ATLASES.get(n) or C.enumerate_curves(F)
+        builds = [build for m, build in BUNDLES.values() if m == n]
+        for _ in range(20):
+            curves = list(rng.choice(builds)(F).curves)
+            swap = rng.randrange(len(curves))
+            rest = curves[:swap] + curves[swap + 1:]
+            intruder = rng.choice([c for c in atlas if c not in curves
+                                   and not C.all_nonintersecting(rest + [c])])
+            curves[swap] = intruder
+            rep = V.verify_atlas(F, curves)
+            assert rep.failures and rep.failures == pairwise_failures(F, curves)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
