@@ -94,8 +94,8 @@ def fmt_partition(part: Sequence[Sequence[int]]) -> str:
 
 def curve_record(F: GF2n, pts: C.PointSet) -> dict:
     """Class, ranks, partition and equation of a curve; the JSON record adds
-    `"points": fmt_points(F, pts)`.  One Curve serves every step, so its
-    generators are reduced once."""
+    `"points": fmt_points(F, pts)`.  One Curve serves every step, so a
+    plain point set is checked once."""
     pts = C.assert_admissible(F, pts)
     cls = C.classify_points(F, pts)
     rec = {

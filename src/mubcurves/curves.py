@@ -40,7 +40,6 @@ from .field import (
     GF2n,
     echelon_basis,
     mat_rank_det,
-    subgroup_basis,
     subgroup_span,
     trace_orthogonal_complement,
     trace_pairing,
@@ -108,23 +107,15 @@ def is_commutative(F: GF2n, points: Iterable[Point]) -> bool:
                for p, q in itertools.combinations(pts, 2))
 
 
-def point_generators(F: GF2n, pts: Iterable[Point]) -> list[Point]:
-    """`subgroup_basis` of the points packed as a << n | b: generators chosen
-    greedily in sorted point order.  A set of 2^k points is a subgroup
-    exactly when it has k generators."""
-    low = F.order - 1
-    return [(g >> F.n, g & low) for g in subgroup_basis(a << F.n | b for a, b in pts)]
-
-
 class Curve(frozenset):
     """The point set of an admissible curve, validated once for `field` by
     `assert_admissible` or built admissible by `enumerate_curves`.  `gens`
-    holds n points that span it, packed as a << n | b like
-    `point_generators`; whatever does not depend on the choice of basis
-    (ranks, projections, clash words) is read from them.  On first use,
-    `echelon_generators` puts them in reduced echelon form and keeps the
-    same points packed b << n | a, reduced too, in `cogens` (None until
-    then).  Set operations on a Curve give plain frozensets, which are
+    is the reduced echelon basis of its points packed as a << n | b, and
+    `cogens` that of the same points packed b << n | a: one basis each,
+    fixed when the Curve is made.  The rows at or above 2^n give each
+    projection's rank and reduced echelon basis (`_top`); when they span
+    the field, row j is s^j over its image under the curve's map to the
+    other axis.  Set operations on a Curve give plain frozensets, which are
     checked afresh."""
 
     __slots__ = ("field", "gens", "cogens")
@@ -132,33 +123,20 @@ class Curve(frozenset):
 
 def _trusted(F: GF2n, points: Iterable[Point], gens: Iterable[int]) -> Curve:
     """A Curve for F without any check: for points admissible by
-    construction, spanned by the packed points `gens`."""
+    construction, spanned by the packed points `gens`, whose reduced echelon
+    bases in both packings it keeps."""
     curve = Curve(points)
     curve.field = F
-    curve.gens = tuple(gens)
-    curve.cogens = None
+    curve.gens = echelon_basis(gens)
+    low = F.order - 1
+    curve.cogens = echelon_basis((g & low) << F.n | g >> F.n for g in curve.gens)
     return curve
 
 
-Echelons = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def echelon_generators(F: GF2n, curve: Curve) -> Echelons:
-    """A Curve's generators in reduced echelon form, packed a << n | b and
-    b << n | a.  The top halves of the rows are the projection's reduced
-    echelon basis (`_top`); when they span the field, row j is s^j over its
-    image under the curve's map to the other axis.  Reduced once per Curve,
-    in place: the Curve keeps no second copy of its generators."""
-    if curve.cogens is None:
-        low = F.order - 1
-        curve.cogens = echelon_basis((g & low) << F.n | g >> F.n for g in curve.gens)
-        curve.gens = echelon_basis(curve.gens)
-    return curve.gens, curve.cogens
-
-
 def _top(F: GF2n, rows: Sequence[int]) -> tuple[int, ...]:
-    """The nonzero top halves of ascending reduced echelon rows: the rows
-    from the first one at or above 2^n on."""
+    """The nonzero top halves of ascending reduced echelon rows (`gens` or
+    `cogens`): the rows from the first one at or above 2^n on, shifted down.
+    They are the reduced echelon basis of that projection."""
     return tuple(r >> F.n for r in rows[bisect.bisect_left(rows, F.order):])
 
 
@@ -174,21 +152,23 @@ def is_admissible(F: GF2n, points: Iterable[Point]) -> bool:
 def assert_admissible(F: GF2n, points: Iterable[Point]) -> Curve:
     """The points as a Curve for F; a Curve validated for F is returned as is.
 
-    O(d n): 2^n field points spanned by n generators, isotropic on generator
-    pairs, which suffices because the trace form is bilinear and alternating.
+    O(d n): the reduced echelon basis of the 2^n field points packed as
+    a << n | b has n rows exactly when they form a subgroup, and the rows
+    are isotropic in pairs, which suffices because the trace form is
+    bilinear and alternating.  The rows become the Curve's `gens`.
     """
     if isinstance(points, Curve) and getattr(points, "field", None) == F:
         return points
     pts = frozenset(points)
     d = F.order
     in_field = len(pts) == d and all(0 <= a < d and 0 <= b < d for a, b in pts)
-    gens = point_generators(F, pts) if in_field else []
+    gens = echelon_basis(a << F.n | b for a, b in pts) if in_field else ()
     if len(gens) != F.n:
         raise NotAnAdmissibleCurve(
             f"point set of size {len(pts)} is not an additive subgroup of order {F.order}")
-    if not is_commutative(F, gens):
+    if not is_commutative(F, ((g >> F.n, g & d - 1) for g in gens)):
         raise NotCommutative("point set is not isotropic under the symplectic trace form")
-    return _trusted(F, pts, (a << F.n | b for a, b in gens))
+    return _trusted(F, pts, gens)
 
 
 # -- W matrices, rank and degeneracy -------------------------------------------
@@ -231,14 +211,14 @@ def classify_points(F: GF2n, points: Iterable[Point]) -> CurveClassification:
     """Regular vs exceptional, with the per-axis ranks and degeneracies.
 
     The ranks are the dimensions of the two projections, read off the
-    curve's `echelon_generators`: the count of rows at or above 2^n.
+    Curve's `gens` and `cogens`: the count of rows at or above 2^n.
     Regular means at least one of them is the whole field (its
     parametrising additive map is a bijection); exceptional means both are
     singular while the curve itself still has 2^n distinct points.
     """
     pts = assert_admissible(F, points)
     ra, rb = (len(rows) - bisect.bisect_left(rows, F.order)
-              for rows in echelon_generators(F, pts))
+              for rows in (pts.gens, pts.cogens))
     if ra == F.n and rb == F.n:
         variant = "RegularBoth"
     elif ra == F.n:
@@ -313,11 +293,12 @@ def explicit_curve(F: GF2n, points: Iterable[Point]) -> ExplicitCurve:
     additive map is L(x) = sum_j L(s^j) tr(d_j x), and tr(y) =
     sum_m y^(2^m), so phi_m = sum_j L(s^j) d_j^(2^m): the XOR of n
     `_explicit_table` words, read at the images L(s^j) that the rows of the
-    curve's `echelon_generators` carry.  No product is left.
+    Curve's `gens` (beta = f(alpha)) or `cogens` (alpha = g(beta)) carry.
+    No product is left.
     """
     pts = assert_admissible(F, points)
     low = F.order - 1
-    for orientation, rows in zip(("alpha_form", "beta_form"), echelon_generators(F, pts)):
+    for orientation, rows in zip(("alpha_form", "beta_form"), (pts.gens, pts.cogens)):
         if rows[0] >> F.n:
             word = 0
             for table, row in zip(_explicit_table(F), rows):
@@ -414,12 +395,13 @@ def trace_witness(F: GF2n, eq: StructuralEquation) -> int:
 def structural_equations(
         F: GF2n, points: Iterable[Point]
 ) -> tuple[StructuralEquation, StructuralEquation]:
-    """Annihilators of the alpha- and beta-projections, read off the curve's
-    `echelon_generators`, with trace witnesses attached when the
-    corresponding degeneracy is exactly 2."""
+    """Annihilators of the alpha- and beta-projections, keyed by their
+    reduced echelon bases, the `_top` of the Curve's `gens` and `cogens`,
+    with trace witnesses attached when the corresponding degeneracy is
+    exactly 2."""
     pts = assert_admissible(F, points)
     out = []
-    for rows in echelon_generators(F, pts):
+    for rows in (pts.gens, pts.cogens):
         eq = annihilator(F, _top(F, rows))
         if eq.rank == F.n - 1:
             eq = StructuralEquation(eq.coeffs, trace_witness(F, eq))
@@ -502,8 +484,9 @@ def enumerate_curves(F: GF2n, kind: Optional[str] = None) -> list[Curve]:
 
     Each curve is built once from its (A, M) parameters (see the module
     docstring), so none needs an admissibility test or a duplicate check.
-    Its generators are a basis of T as (0, t), then (a_j, f_M(a_j)).
-    `kind` keeps only the "regular" or only the "exceptional" curves.
+    It is spanned by a basis of T as (0, t) and the (a_j, f_M(a_j)), which
+    `_trusted` reduces.  `kind` keeps only the curves whose
+    `classify_points` kind is "regular", or only the "exceptional" ones.
     """
     # one tuple per phase-space point, shared by every curve through it:
     # half the memory of a tuple per curve and point at n = 4
@@ -540,7 +523,7 @@ def enumerate_curves(F: GF2n, kind: Optional[str] = None) -> list[Curve]:
                     a, fa = gen >> F.n, gen & low
                     pts = pts + [plane[x ^ a][y ^ fa] for x, y in pts]
                 curve = _trusted(F, pts, t_gens + f)
-                if kind is None or kind == _kind(F, r, curve):
+                if kind is None or kind == classify_points(F, curve).kind:
                     curves.append(curve)
     return sorted(curves, key=_sort_key)
 
@@ -553,12 +536,6 @@ def _sort_key(curve: Curve) -> bytes:
         span += [x ^ g for x in span]
     span.sort()
     return struct.pack(f">{len(span)}H", *span)
-
-
-def _kind(F: GF2n, r: int, pts: PointSet) -> str:
-    """Regular when alpha (dimension r) or beta projects onto the field."""
-    regular = r == F.n or len({b for _, b in pts}) == F.order
-    return "regular" if regular else "exceptional"
 
 
 def enumerate_regular(F: GF2n) -> list[Curve]:

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError, NotCommutative
-from .curves import Point, PointSet, all_nonintersecting, assert_admissible, point_generators
+from .curves import Point, PointSet, all_nonintersecting, assert_admissible
 from .field import GF2n, echelon_basis
 from .pauli import bundle_structure, monomial_label
 
@@ -134,7 +134,10 @@ class MubBasis:
 def eigenbasis(F: GF2n, points: Iterable[Point]) -> MubBasis:
     """Exact common eigenbasis of the curve's nonidentity monomials.
 
-    One joint eigenvector v0 is cut out of e_0 by one generator monomial D
+    The generators are the Curve's `gens`, its one reduced echelon basis,
+    unpacked in ascending order, so a label's entry j belongs to row j of
+    `gens`; no pass over the d points looks for generators.  One joint
+    eigenvector v0 is cut out of e_0 by one generator monomial D
     at a time: for D^2 = I it keeps whichever of v + Dv (eigenvalue +1) and
     v - Dv (-1) is nonzero, for D^2 = -I whichever of v + iDv (-i) and
     v - iDv (+i).  v0 is reduced by the gcd of its entries.  The other
@@ -149,7 +152,7 @@ def eigenbasis(F: GF2n, points: Iterable[Point]) -> MubBasis:
     """
     pts = assert_admissible(F, points)
     d, n = F.order, F.n
-    gens = point_generators(F, pts)
+    gens = [(g >> n, g & d - 1) for g in pts.gens]
     z = np.array([F.coord_bits[a] for a, _ in gens])
     x = np.array([F.coord_bits[b] for _, b in gens])
     # generator j maps a vector v to sign[j] * v[perm[j]]

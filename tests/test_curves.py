@@ -8,6 +8,7 @@ import itertools
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -576,16 +577,18 @@ class TestNonintersection:
 
 @pytest.fixture
 def full_checks(monkeypatch):
-    """Counts the admissibility checks that reach the generator test, that
-    is every `assert_admissible` call not answered by a validated Curve."""
+    """Counts the admissibility checks that reach the isotropy test of the
+    generators, that is every `assert_admissible` call not answered by a
+    validated Curve, each recorded as the span of its generators."""
     calls = []
-    generators = C.point_generators
+    isotropic = C.is_commutative
 
-    def counted(F, pts):
-        calls.append(pts)
-        return generators(F, pts)
+    def counted(F, gens):
+        gens = list(gens)
+        calls.append(subgroup(gens))
+        return isotropic(F, gens)
 
-    monkeypatch.setattr(C, "point_generators", counted)
+    monkeypatch.setattr(C, "is_commutative", counted)
     return calls
 
 
@@ -658,7 +661,7 @@ class TestValidatedCurve:
     def test_generators_are_curve_points_in_sorted_order(self):
         for F in (F4, F8, F16):
             for c in C.enumerate_curves(F)[::7]:
-                gens = C.point_generators(F, c)
+                gens = [(g >> F.n, g & F.order - 1) for g in c.gens]
                 assert gens == sorted(gens) and set(gens) <= c and len(gens) == F.n
                 assert subgroup(gens) == c
 
@@ -842,7 +845,9 @@ def oracle_structural_equations(F, points):
 
 def oracle_factorization_partition(F, points):
     words = F.coord_bits
-    gens = [(words[a], words[b]) for a, b in C.point_generators(F, C.assert_admissible(F, points))]
+    low = F.order - 1
+    gens = [(words[g >> F.n], words[g & low])
+            for g in subgroup_basis(a << F.n | b for a, b in C.assert_admissible(F, points))]
     clashes = subgroup_basis((z1 & x2) ^ (z2 & x1)
                              for (z1, x1), (z2, x2) in itertools.combinations(gens, 2))
     # the last entry, one block, is always valid: the curve is isotropic
@@ -912,9 +917,9 @@ class TestGeneratorRecords:
                 C.trace_witness(F, C.StructuralEquation(eq.coeffs[1:]))
 
     def test_curves_command_reads_generators(self, capsys, monkeypatch):
-        """`mubc curves --n 4` makes no `point_generators` or
-        `trace_orthogonal_complement` call, and no `subgroup_basis` or
-        `echelon_basis` call on more than n elements, also with cold memos."""
+        """`mubc curves --n 4` makes no `trace_orthogonal_complement` call,
+        and no `subgroup_basis` or `echelon_basis` call on more than n
+        elements, also with cold memos."""
         calls = collections.defaultdict(list)
         C.annihilator.cache_clear()
         C._explicit_table.cache_clear()
@@ -926,37 +931,94 @@ class TestGeneratorRecords:
                 return f(*args)
             return counted
 
-        for name in ("point_generators", "trace_orthogonal_complement", "subgroup_basis",
-                     "echelon_basis"):
-            original = getattr(C if name == "point_generators" else FLD, name)
+        for name in ("trace_orthogonal_complement", "subgroup_basis", "echelon_basis"):
+            original = getattr(FLD, name)
             for mod in (mubcurves, FLD, C, P, V, B, cli):
                 if getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, counting(name, original))
         assert cli.main(["curves", "--n", "4"]) == 0
-        assert calls["point_generators"] == [] and calls["trace_orthogonal_complement"] == []
+        assert calls["trace_orthogonal_complement"] == []
         assert calls["echelon_basis"] and max(calls["echelon_basis"]) <= 4
         assert max(calls["subgroup_basis"], default=0) <= 4
         # negative control: a plain point set still goes through the points
         C.classify_points(F16, frozenset(C.enumerate_curves(F16)[0]))
-        assert len(calls["point_generators"]) == 1 and max(calls["subgroup_basis"]) == 16
+        assert calls["echelon_basis"].count(16) == 1 and max(calls["echelon_basis"]) == 16
         capsys.readouterr()
 
     def test_record_reduces_each_curve_once(self, monkeypatch):
-        """A record reduces a Curve's generators once per orientation, for
-        classification, explicit form and structural equations together."""
+        """A Curve's generators are reduced once per orientation, when it is
+        made; classification, explicit form and structural equations read
+        them and reduce nothing."""
         for curve in C.enumerate_curves(F16):
             cli.curve_record(F16, curve)    # warm the annihilator memo
-        atlas = C.enumerate_curves(F16)
         calls = []
         original = C.echelon_basis
         monkeypatch.setattr(C, "echelon_basis", lambda words: calls.append(1) or original(words))
+        atlas = C.enumerate_curves(F16)
+        assert len(calls) == 2 * len(atlas)
+        calls.clear()
         records = [cli.curve_record(F16, curve) for curve in atlas]
-        assert len(calls) == 2 * len(atlas)
         assert [cli.curve_record(F16, curve) for curve in atlas] == records
-        assert len(calls) == 2 * len(atlas)
-        # the reduced generators still span their curve
+        assert calls == []
+        # the reduced generators span their curve
         for curve in atlas:
             assert {(g >> 4, g & 15) for g in subgroup_span(curve.gens)} == curve
-        # a plain point set becomes one Curve per record, reduced once too
+        # a plain point set becomes one Curve per record: one reduction of
+        # its points, then one per orientation of the rows
         cli.curve_record(F16, frozenset(atlas[0]))
-        assert len(calls) == 2 * len(atlas) + 2
+        assert len(calls) == 3
+
+
+def assert_canonical(F, curve):
+    """A Curve's generators are the reduced echelon bases of its points,
+    packed a << n | b in `gens` and b << n | a in `cogens`."""
+    assert isinstance(curve, C.Curve) and curve.field == F
+    assert curve.gens == echelon_basis(a << F.n | b for a, b in curve)
+    assert curve.cogens == echelon_basis(b << F.n | a for a, b in curve)
+
+
+class TestCanonicalGenerators:
+    """One generator basis per Curve, whichever route made it."""
+
+    @pytest.mark.parametrize("F", ORACLE_FIELDS, ids=ORACLE_IDS)
+    def test_enumerated_and_validated_curves(self, F):
+        atlas = C.enumerate_curves(F)
+        for curve in atlas:
+            assert_canonical(F, curve)
+        for curve in atlas[::3]:
+            assert_canonical(F, C.assert_admissible(F, frozenset(curve)))
+
+    def test_transform_images(self):
+        for F in (F4, F8, F16):
+            for curve in C.enumerate_curves(F)[::11]:
+                for kind in "zxy":
+                    for qubit in range(1, F.n + 1):
+                        assert_canonical(F, P.transform_curve(F, curve, [(kind, qubit)]))
+
+    def test_exceptional_constructors(self):
+        assert_canonical(F4, C.exceptional_equal(F4, [F4.primitive]))
+        for a, b in itertools.permutations(range(1, 8), 2):
+            assert_canonical(F8, C.exceptional_equal(F8, [a, b]))
+        for roots in itertools.combinations(range(1, 8), 2):
+            assert_canonical(F8, C.exceptional_unequal(F8, roots))
+        for roots in ([1], [3], [1, 2], [5, 6, 9]):
+            assert_canonical(F16, C.exceptional_unequal(F16, roots))
+
+    def test_bundle_curves(self):
+        bundles = [B.ray_bundle(make_field(n)) for n in range(1, 6)]
+        bundles.append(B.closure_bundle(F8, [(s8(6), s8(3), s8(5)), (s8(2), s8(5), s8(6)),
+                                             (s8(3), 0, 0)]))
+        for bundle in bundles:
+            F = bundle.curves[0].field
+            for curve in bundle.curves:
+                assert_canonical(F, curve)
+
+    @pytest.mark.parametrize("F", ORACLE_FIELDS, ids=ORACLE_IDS)
+    def test_eigenbasis_same_before_and_after_a_record(self, F):
+        for curve in C.enumerate_curves(F):
+            before = V.eigenbasis(F, curve)
+            cli.curve_record(F, curve)
+            for basis in (V.eigenbasis(F, curve), V.eigenbasis(F, frozenset(curve))):
+                assert basis.labels == before.labels
+                assert np.array_equal(basis.re, before.re)
+                assert np.array_equal(basis.im, before.im)

@@ -10,7 +10,7 @@ from mubcurves.errors import InputError, clip
 from mubcurves import bundles as B
 from mubcurves import curves as C
 from mubcurves import pauli as P
-from mubcurves.field import make_field, modulus_from_bits
+from mubcurves.field import make_field, modulus_from_bits, subgroup_basis
 
 from monomials import PauliMonomial, commuting_set, coords, monomial
 
@@ -297,7 +297,9 @@ def exhaustive_partitions(F, pts):
     block is valid when each generator pair's clash word has even parity on
     its qubit mask."""
     words = F.coord_bits
-    gens = [(words[a], words[b]) for a, b in C.point_generators(F, pts)]
+    low = F.order - 1
+    gens = [(words[g >> F.n], words[g & low])
+            for g in subgroup_basis(a << F.n | b for a, b in pts)]
     clashes = [(z1 & x2) ^ (z2 & x1) for (z1, x1), (z2, x2) in itertools.combinations(gens, 2)]
     valid = [part for part in P._set_partitions(list(range(F.n)))
              if not any((c & sum(1 << (F.n - 1 - q) for q in block)).bit_count() & 1

@@ -162,7 +162,7 @@ def splitting_eigenbasis(F, points):
     re = np.eye(d, dtype=np.int64)
     im = np.zeros((d, d), dtype=np.int64)
     codes = np.zeros(d, dtype=np.int64)     # labels as base-4 numbers
-    gens = C.point_generators(F, pts)
+    gens = [(g >> F.n, g & F.order - 1) for g in pts.gens]
     # generator j maps the columns x to sign[j] * x[perm[j]]
     sign = splitting_signs(F, [a for a, _ in gens])[:, :, None]
     perm = np.arange(d) ^ np.array([F.coord_bits[b] for _, b in gens])[:, None]
@@ -372,7 +372,7 @@ class TestEigenbasis:
         # oracle: Python-integer eigenphases and overlaps, not the numpy Gram
         for pts in ATLASES[F.n]:
             basis = V.eigenbasis(F, pts)
-            gens = C.point_generators(F, pts)
+            gens = [(g >> F.n, g & F.order - 1) for g in C.assert_admissible(F, pts).gens]
             vecs = basis.vectors
             assert len(vecs) == F.order
             for v, label in zip(vecs, basis.labels):
