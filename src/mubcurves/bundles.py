@@ -17,6 +17,7 @@ from .errors import EmptyResult, InputError, NotCommutative
 from .curves import (
     Curve,
     PointSet,
+    _sort_key,
     all_nonintersecting,
     assert_admissible,
     commutativity_symmetric,
@@ -41,7 +42,7 @@ class Bundle:
 
 def make_bundle(F: GF2n, curves: Iterable[PointSet]) -> Bundle:
     """Validate and canonically order a complete bundle."""
-    cs = sorted({assert_admissible(F, c) for c in curves}, key=sorted)
+    cs = sorted({assert_admissible(F, c) for c in curves}, key=_sort_key)
     if len(cs) != F.order + 1:
         raise InputError(f"a bundle needs {F.order + 1} distinct curves, got {len(cs)}")
     if not all_nonintersecting(cs):

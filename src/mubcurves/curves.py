@@ -121,15 +121,14 @@ class Curve(frozenset):
     __slots__ = ("field", "gens", "cogens")
 
 
-def _trusted(F: GF2n, points: Iterable[Point], gens: Iterable[int]) -> Curve:
+def _trusted(F: GF2n, points: Iterable[Point], gens: tuple[int, ...]) -> Curve:
     """A Curve for F without any check: for points admissible by
-    construction, spanned by the packed points `gens`, whose reduced echelon
-    bases in both packings it keeps."""
+    construction, whose reduced echelon basis packed a << n | b is `gens`
+    (a precondition, not checked); only the swapped packing is reduced."""
     curve = Curve(points)
     curve.field = F
-    curve.gens = echelon_basis(gens)
-    low = F.order - 1
-    curve.cogens = echelon_basis((g & low) << F.n | g >> F.n for g in curve.gens)
+    curve.gens = gens
+    curve.cogens = echelon_basis((g & F.order - 1) << F.n | g >> F.n for g in gens)
     return curve
 
 
@@ -157,7 +156,8 @@ def assert_admissible(F: GF2n, points: Iterable[Point]) -> Curve:
     are isotropic in pairs, which suffices because the trace form is
     bilinear and alternating.  The rows become the Curve's `gens`.
     """
-    if isinstance(points, Curve) and getattr(points, "field", None) == F:
+    field = getattr(points, "field", None)
+    if isinstance(points, Curve) and (field is F or field == F):
         return points
     pts = frozenset(points)
     d = F.order
@@ -184,7 +184,7 @@ def w_det(F: GF2n, coeffs: Sequence[int]) -> int:
     return mat_rank_det(F, w_matrix(F, coeffs))[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveClassification:
     kind: str               # "regular" or "exceptional"
     variant: str            # Ray / RegularBoth / RegularAlphaOnly / RegularBetaOnly / Exceptional
@@ -199,12 +199,14 @@ class CurveClassification:
 def _is_ray(F: GF2n, curve: Curve) -> bool:
     """A ray is stable under field scaling: (a,b) in it implies (la,lb).
 
-    The curve is additive, so w C in C for a primitive element w makes it
-    stable under GF(2)[w], the whole field; and w C in C holds when it holds
-    on the n generators.
-    """
-    w, low = F.primitive, F.order - 1
-    return all((F.mul(w, g >> F.n), F.mul(w, g & low)) in curve for g in curve.gens)
+    So it is a line over the field: b = c a, or a = 0.  If the alpha map is
+    onto, row j of `gens` is s^j << n | L(s^j), and L(s^j) = c s^j with
+    c = L(1) decides; otherwise the rank of the alpha map must be 0."""
+    rows, low = curve.gens, F.order - 1
+    if rows[0] >> F.n:
+        c = rows[0] & low
+        return all(row & low == F.mul(c, 1 << j) for j, row in enumerate(rows))
+    return rows[-1] < F.order
 
 
 def classify_points(F: GF2n, points: Iterable[Point]) -> CurveClassification:
@@ -219,14 +221,8 @@ def classify_points(F: GF2n, points: Iterable[Point]) -> CurveClassification:
     pts = assert_admissible(F, points)
     ra, rb = (len(rows) - bisect.bisect_left(rows, F.order)
               for rows in (pts.gens, pts.cogens))
-    if ra == F.n and rb == F.n:
-        variant = "RegularBoth"
-    elif ra == F.n:
-        variant = "RegularAlphaOnly"
-    elif rb == F.n:
-        variant = "RegularBetaOnly"
-    else:
-        variant = "Exceptional"
+    variant = ("Exceptional", "RegularBetaOnly", "RegularAlphaOnly",
+               "RegularBoth")[2 * (ra == F.n) + (rb == F.n)]
     kind = "exceptional" if variant == "Exceptional" else "regular"
     if kind == "regular" and _is_ray(F, pts):
         variant = "Ray"
@@ -266,7 +262,7 @@ def commutativity_symmetric(F: GF2n, phi: Sequence[int]) -> bool:
     return all(phi[j] == F.frobenius(phi[(n - j) % n], j) for j in range(1, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExplicitCurve:
     """An explicit relation beta = f(alpha) (alpha_form) or alpha = g(beta)
     (beta_form), with additive-polynomial coefficients."""
@@ -331,7 +327,7 @@ def curve_from_phi(F: GF2n, phi: Sequence[int]) -> ParametricCurve:
 # -- structural equations --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StructuralEquation:
     """Monic additive annihilator sum_m c[m] x^(2^m) + x^(2^r) = 0 on a subgroup,
     optionally sharpened by a trace condition tr(xi * x) = 0."""
@@ -484,15 +480,15 @@ def enumerate_curves(F: GF2n, kind: Optional[str] = None) -> list[Curve]:
 
     Each curve is built once from its (A, M) parameters (see the module
     docstring), so none needs an admissibility test or a duplicate check.
-    It is spanned by a basis of T as (0, t) and the (a_j, f_M(a_j)), which
-    `_trusted` reduces.  `kind` keeps only the curves whose
+    Its `gens` are T's reduced echelon basis, as (0, t), then the
+    (a_j, f_M(a_j)), already reduced: reduction modulo T is linear, so it
+    is done once per A, on the lifts.  `kind` keeps only the curves whose
     `classify_points` kind is "regular", or only the "exceptional" ones.
     """
-    # one tuple per phase-space point, shared by every curve through it:
-    # half the memory of a tuple per curve and point at n = 4
-    plane = [[(x, y) for y in F.elements()] for x in F.elements()]
-    low = F.order - 1
-    curves: list[Curve] = []
+    # one tuple per phase-space point, at its packed word a << n | b, shared
+    # by every curve through it
+    point = [(x, y) for x in F.elements() for y in F.elements()]
+    atlas: dict[bytes, Curve] = {}
     for r in range(F.n + 1):
         for basis in _subspace_bases(F.n, r):
             # the unit words off the pivots complete A's echelon basis to a
@@ -503,12 +499,11 @@ def enumerate_curves(F: GF2n, kind: Optional[str] = None) -> list[Curve]:
             full = basis + tuple(1 << q for q in range(F.n) if q not in pivots)
             pairing = trace_pairing(F, full)
             dual = [pairing.index(1 << i) for i in range(F.n)]
-            g, t_gens = dual[:r], tuple(dual[r:])
-            on_a = (1 << r) - 1
-            T = [t for t, word in enumerate(pairing) if not word & on_a]
-            # the packed generators (a_1, f_M(a_1)), ..., (a_r, f_M(a_r)) for
-            # every symmetric M, doubling the list once per entry pair
-            # M_ij = M_ji; a step changes only the f_M halves
+            t_rows = echelon_basis(dual[r:])
+            g = [functools.reduce(lambda x, t: min(x, x ^ t), t_rows, x) for x in dual[:r]]
+            # the packed rows (a_1, f_M(a_1)), ..., (a_r, f_M(a_r)) for every
+            # symmetric M, doubling the list once per entry pair M_ij = M_ji;
+            # a step changes only the f_M halves
             images = [tuple(a << F.n for a in basis)]
             for i in range(r):
                 for j in range(i, r):
@@ -516,26 +511,27 @@ def enumerate_curves(F: GF2n, kind: Optional[str] = None) -> list[Curve]:
                     step[j] = g[i]
                     step[i] = g[j]
                     images += [tuple(x ^ y for x, y in zip(f, step)) for f in images]
-            fibre = [plane[0][t] for t in T]
             for f in images:
-                pts = fibre
-                for gen in f:
-                    a, fa = gen >> F.n, gen & low
-                    pts = pts + [plane[x ^ a][y ^ fa] for x, y in pts]
-                curve = _trusted(F, pts, t_gens + f)
+                gens = t_rows + f
+                span, key = _span_key(gens)
+                curve = _trusted(F, map(point.__getitem__, span), gens)
                 if kind is None or kind == classify_points(F, curve).kind:
-                    curves.append(curve)
-    return sorted(curves, key=_sort_key)
+                    atlas[key] = curve
+    return [atlas[key] for key in sorted(atlas)]
+
+
+def _span_key(gens: Sequence[int]) -> tuple[list[int], bytes]:
+    """The packed span of `gens`, ascending, and as two big-endian bytes a
+    word, which order curves like their `sorted` points."""
+    span = [0]
+    for g in gens:
+        span += [x ^ g for x in span]
+    span.sort()
+    return span, struct.pack(f">{len(span)}H", *span)
 
 
 def _sort_key(curve: Curve) -> bytes:
-    """The curve's points packed as a << n | b, ascending, two big-endian
-    bytes each: as bytes they order like `sorted(curve)`."""
-    span = [0]
-    for g in curve.gens:
-        span += [x ^ g for x in span]
-    span.sort()
-    return struct.pack(f">{len(span)}H", *span)
+    return _span_key(curve.gens)[1]
 
 
 def enumerate_regular(F: GF2n) -> list[Curve]:

@@ -116,6 +116,7 @@ class GF2n:
         self.order = 1 << n
 
         self.primitive = self._pick_primitive(primitive)
+        self._hash = hash((n, modulus, self.primitive))  # the memos hash it on every call
         self.log_table = [0] * self.order          # log_table[0] unused
         self.antilog_table = [0] * (self.order - 1)
         x = 1
@@ -273,7 +274,7 @@ class GF2n:
                 and other.modulus == self.modulus and other.primitive == self.primitive)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.modulus, self.primitive))
+        return self._hash
 
 
 def make_field(n: int, modulus: Optional[int] = None,

@@ -622,6 +622,23 @@ class TestValidatedCurve:
         assert rechecked == shared and rechecked.field == F1101
         assert len(full_checks) == 2
 
+    def test_equal_field_object(self, full_checks):
+        """A Curve validated for one field object is returned as is for a
+        second, equal one, and checked afresh under another modulus."""
+        F10011, F11001 = (make_field(4, modulus_from_bits(m)) for m in ("10011", "11001"))
+        curve = C.assert_admissible(F10011, frozenset(C.enumerate_curves(F10011)[1000]))
+        assert len(full_checks) == 1
+        full_checks.clear()
+        again = make_field(4, modulus_from_bits("10011"))
+        assert again is not F10011 and again == F10011
+        assert C.assert_admissible(again, curve) is curve
+        assert full_checks == []
+        other = set(C.enumerate_curves(F11001))
+        shared = next(c for c in C.enumerate_curves(F10011) if c in other)
+        rechecked = C.assert_admissible(F11001, shared)
+        assert rechecked == shared and rechecked is not shared and rechecked.field is F11001
+        assert full_checks == [shared]
+
     def test_set_operations_are_not_trusted(self, full_checks):
         atlas = C.enumerate_curves(F8)
         curve, other = atlas[5], atlas[70]
@@ -768,10 +785,11 @@ class TestClosedForms:
         assert atlas == sorted(atlas, key=sorted)
         assert len({C._sort_key(c) for c in atlas}) == len(atlas)   # no ties
 
-    @pytest.mark.parametrize("F", ORACLE_FIELDS, ids=ORACLE_IDS)
+    @pytest.mark.parametrize("F", ORACLE_FIELDS + [make_field(5)], ids=ORACLE_IDS + ["n5"])
     def test_is_ray_against_scaling_closure(self, F):
-        rays = [pts for pts in C.enumerate_curves(F) if C._is_ray(F, pts)]
-        assert rays == [pts for pts in C.enumerate_curves(F) if scaling_closed(F, pts)]
+        atlas = C.enumerate_curves(F)
+        rays = [pts for pts in atlas if C._is_ray(F, pts)]
+        assert rays == [pts for pts in atlas if scaling_closed(F, pts)]
         assert len(rays) == F.order + 1
 
     def test_curves_command_work_counts(self, capsys, monkeypatch):
@@ -946,16 +964,18 @@ class TestGeneratorRecords:
         capsys.readouterr()
 
     def test_record_reduces_each_curve_once(self, monkeypatch):
-        """A Curve's generators are reduced once per orientation, when it is
-        made; classification, explicit form and structural equations read
-        them and reduce nothing."""
+        """A Curve's generators are reduced when it is made: an enumerated
+        one only in the swapped packing, as its rows come out reduced, after
+        one reduction of T per alpha-subgroup A; classification, explicit
+        form and structural equations read them and reduce nothing."""
         for curve in C.enumerate_curves(F16):
             cli.curve_record(F16, curve)    # warm the annihilator memo
         calls = []
         original = C.echelon_basis
         monkeypatch.setattr(C, "echelon_basis", lambda words: calls.append(1) or original(words))
         atlas = C.enumerate_curves(F16)
-        assert len(calls) == 2 * len(atlas)
+        subgroups = sum(1 for r in range(5) for _ in C._subspace_bases(4, r))
+        assert subgroups == 67 and len(calls) == len(atlas) + subgroups
         calls.clear()
         records = [cli.curve_record(F16, curve) for curve in atlas]
         assert [cli.curve_record(F16, curve) for curve in atlas] == records
@@ -964,9 +984,9 @@ class TestGeneratorRecords:
         for curve in atlas:
             assert {(g >> 4, g & 15) for g in subgroup_span(curve.gens)} == curve
         # a plain point set becomes one Curve per record: one reduction of
-        # its points, then one per orientation of the rows
+        # its points, which are its rows, then one of the swapped packing
         cli.curve_record(F16, frozenset(atlas[0]))
-        assert len(calls) == 3
+        assert len(calls) == 2
 
 
 def assert_canonical(F, curve):
@@ -987,6 +1007,14 @@ class TestCanonicalGenerators:
             assert_canonical(F, curve)
         for curve in atlas[::3]:
             assert_canonical(F, C.assert_admissible(F, frozenset(curve)))
+
+    def test_five_qubit_atlas(self):
+        """The enumerator's reduced rows at n = 5, on every 7th curve."""
+        F = make_field(5)
+        atlas = C.enumerate_curves(F)
+        assert len(atlas) == C.atlas_size(5) == 75735
+        for curve in atlas[::7]:
+            assert_canonical(F, curve)
 
     def test_transform_images(self):
         for F in (F4, F8, F16):
