@@ -8,7 +8,6 @@ d + 1 mutually unbiased bases.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -78,17 +77,16 @@ def ray_bundle(F: GF2n) -> Bundle:
 def closure_bundle(F: GF2n, seeds: Sequence[Sequence[int]]) -> Bundle:
     """Close three explicit regular curves under coefficientwise addition.
 
-    Given n three coefficient tuples phi (full length n, symmetric), the
-    pairwise and triple sums give four further curves; the rays beta = 0
-    and alpha = 0 complete the bundle.  The seeds must already be pairwise
-    nonintersecting for the result to validate.
+    Given three coefficient tuples phi (full length n, symmetric), the
+    nonzero elements of their GF(2) span give seven curves and its zero the
+    ray beta = 0; the ray alpha = 0 completes the bundle.  The seeds must
+    already be pairwise nonintersecting for the result to validate.
     """
     if len(seeds) != 3:
         raise InputError(f"closure needs exactly 3 seed coefficient tuples, got {len(seeds)}")
-    phis = {tuple(s) for s in seeds}
-    for a, b in itertools.combinations(sorted(phis), 2):
-        phis = phis | {tuple(x ^ y for x, y in zip(a, b))}
-    phis.add(tuple(x ^ y ^ z for x, y, z in zip(*sorted(seeds))))
+    phis: set[tuple[int, ...]] = set()
+    for s in map(tuple, seeds):
+        phis |= {s} | {tuple(x ^ y for x, y in zip(s, p)) for p in phis}
     phis.add((0,) * F.n)  # the ray beta = 0
     curves = [point_set(F, curve_from_phi(F, list(p))) for p in sorted(phis)]
     curves.append(vertical_ray(F))

@@ -475,15 +475,14 @@ def _subspace_bases(n: int, r: int) -> Iterator[tuple[int, ...]]:
             yield tuple(1 << p | x for p, x in zip(pivots, rows))
 
 
-def enumerate_curves(F: GF2n, kind: Optional[str] = None) -> list[Curve]:
+def enumerate_curves(F: GF2n) -> list[Curve]:
     """Every admissible curve, as Curves, in a fixed sorted order.
 
     Each curve is built once from its (A, M) parameters (see the module
     docstring), so none needs an admissibility test or a duplicate check.
     Its `gens` are T's reduced echelon basis, as (0, t), then the
     (a_j, f_M(a_j)), already reduced: reduction modulo T is linear, so it
-    is done once per A, on the lifts.  `kind` keeps only the curves whose
-    `classify_points` kind is "regular", or only the "exceptional" ones.
+    is done once per A, on the lifts.
     """
     # one tuple per phase-space point, at its packed word a << n | b, shared
     # by every curve through it
@@ -514,9 +513,7 @@ def enumerate_curves(F: GF2n, kind: Optional[str] = None) -> list[Curve]:
             for f in images:
                 gens = t_rows + f
                 span, key = _span_key(gens)
-                curve = _trusted(F, map(point.__getitem__, span), gens)
-                if kind is None or kind == classify_points(F, curve).kind:
-                    atlas[key] = curve
+                atlas[key] = _trusted(F, map(point.__getitem__, span), gens)
     return [atlas[key] for key in sorted(atlas)]
 
 
@@ -535,11 +532,11 @@ def _sort_key(curve: Curve) -> bytes:
 
 
 def enumerate_regular(F: GF2n) -> list[Curve]:
-    return enumerate_curves(F, "regular")
+    return [c for c in enumerate_curves(F) if classify_points(F, c).kind == "regular"]
 
 
 def enumerate_exceptional(F: GF2n) -> list[Curve]:
-    return enumerate_curves(F, "exceptional")
+    return [c for c in enumerate_curves(F) if classify_points(F, c).kind == "exceptional"]
 
 
 def nonintersecting(c1: PointSet, c2: PointSet) -> bool:

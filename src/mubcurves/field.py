@@ -325,29 +325,34 @@ def load_field_config(path: str) -> dict[int, dict]:
 # -- linear algebra over the field --------------------------------------------
 
 
-def mat_rank_det(F: GF2n, rows: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """(rank, det) of a square matrix of field elements, by elimination."""
-    m = [list(r) for r in rows]
-    size = len(m)
+def _gauss_jordan(F: GF2n, m: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Reduce the rows `m` in place on their first `ncols` columns: each
+    pivot 1 and alone in its column.  Returns the pivot columns and the
+    product of the pivots (a row swap changes no sign in characteristic 2)."""
+    pivots: list[int] = []
     det = 1
-    rank = 0
-    col = 0
-    for col in range(size):
-        piv = next((r for r in range(rank, size) if m[r][col]), None)
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if piv is None:
-            det = 0
             continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
+        m[rank], m[piv] = m[piv], m[rank]
         det = F.mul(det, m[rank][col])
         inv = F.inv(m[rank][col])
         m[rank] = [F.mul(inv, v) for v in m[rank]]
-        for r in range(size):
+        for r in range(len(m)):
             if r != rank and m[r][col]:
                 f = m[r][col]
                 m[r] = [v ^ F.mul(f, w) for v, w in zip(m[r], m[rank])]
-        rank += 1
-    return rank, det
+        pivots.append(col)
+    return pivots, det
+
+
+def mat_rank_det(F: GF2n, rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(rank, det) of a square matrix of field elements, by elimination."""
+    m = [list(r) for r in rows]
+    pivots, det = _gauss_jordan(F, m, len(m))
+    return len(pivots), det if len(pivots) == len(m) else 0
 
 
 def mat_solve(F: GF2n, rows: Sequence[Sequence[int]],
@@ -356,26 +361,11 @@ def mat_solve(F: GF2n, rows: Sequence[Sequence[int]],
 
     For underdetermined systems the free variables are set to 0.
     """
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    ncols = len(rows[0]) if rows else 0
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = F.inv(aug[rank][col])
-        aug[rank] = [F.mul(inv, v) for v in aug[rank]]
-        for r in range(nrows):
-            if r != rank and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v ^ F.mul(f, w) for v, w in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, nrows):
-        if aug[r][ncols]:
-            return None
+    pivots, _ = _gauss_jordan(F, aug, ncols)
+    if any(r[ncols] for r in aug[len(pivots):]):
+        return None
     x = [0] * ncols
     for r, col in enumerate(pivots):
         x[col] = aug[r][ncols]

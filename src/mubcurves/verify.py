@@ -7,11 +7,12 @@ state: a Gaussian-integer vector whose squared norm is a power of 2
 in closed form, as one such vector and its translates by the monomials of a
 complement of the curve (Aaronson & Gottesman, PRA 70, 052328, 2004), on
 (real, imaginary) int64 matrices.  Unbiasedness is the integer identity
-d |<u|v>|^2 == |u|^2 |v|^2, tested in one cross-Gram product per basis
-against all later bases.  The products run in float64 BLAS under an
-asserted bound that keeps every partial sum an integer below 2^53, hence
-exact, and are cast to int64 before any comparison: no verdict rests on a
-float.
+d |<u|v>|^2 == |u|^2 |v|^2, which one row of overlaps decides for two such
+bases: an atlas is checked one basis at a time against the first column of
+every earlier basis (see `verify_atlas`).  The products run in float64 BLAS
+under an asserted bound that keeps every partial sum an integer below 2^53,
+hence exact, and are cast to int64 before any comparison: no verdict rests
+on a float.
 """
 
 from __future__ import annotations
@@ -239,13 +240,19 @@ def unbiasedness_overlaps(b1: MubBasis, b2: MubBasis) -> list[Fraction]:
     return [u.overlap_sq(v) for u in b1.vectors for v in b2.vectors]
 
 
+def _unbiased_rows(F: GF2n, re: np.ndarray, im: np.ndarray, norm_exps: np.ndarray,
+                   bound: int, b: MubBasis) -> np.ndarray:
+    """Per column u of re + i im (norm^2 2^norm_exps[u], entries at most
+    `bound`), whether d |<u|v>|^2 == 2^(e_u + e_v) for every column v of b."""
+    gre, gim = _gram(re, im, b.re, b.im, bound, b.entry_bound)
+    want = np.left_shift(1, norm_exps[:, None] + b.norm_exps[None, :])
+    return (F.order * (gre * gre + gim * gim) == want).all(axis=1)
+
+
 def check_unbiased(F: GF2n, b1: MubBasis, b2: MubBasis) -> bool:
-    """Every cross overlap |<u|v>|^2 must equal exactly 1/2^n, tested as the
-    integer identity d |<u|v>|^2 == |u|^2 |v|^2 = 2^(e_u + e_v).  b2 may
-    hold the columns of several bases side by side, as `verify_atlas` passes."""
-    re, im = _gram(b1.re, b1.im, b2.re, b2.im, b1.entry_bound, b2.entry_bound)
-    want = np.left_shift(1, b1.norm_exps[:, None] + b2.norm_exps[None, :])
-    return bool(np.array_equal(F.order * (re * re + im * im), want))
+    """Every cross overlap |<u|v>|^2 must equal exactly 1/2^n: the full
+    cross Gram, which assumes nothing about how the bases were built."""
+    return bool(_unbiased_rows(F, b1.re, b1.im, b1.norm_exps, b1.entry_bound, b2).all())
 
 
 @dataclass(frozen=True)
@@ -302,25 +309,32 @@ def verify_bundle(F: GF2n, curves: Sequence[PointSet]) -> BundleReport:
 def verify_atlas(F: GF2n, curves: Sequence[PointSet]) -> VerificationReport:
     """Build every eigenbasis exactly and check pairwise unbiasedness.
 
-    Each basis is checked against the column stack of all later bases in
-    one product.  A row that fails is checked again pair by pair to name its
-    failures, skipping identical point sets (a basis is not unbiased to
-    itself), so `failures` lists index pairs in `itertools.combinations`
-    order.
+    One row decides a pair.  `eigenbasis` checks d distinct labels, each
+    column a joint eigenvector with its label, and orthogonal columns of
+    one norm, so each joint eigenspace of curve j is one column of basis j,
+    and column k of basis i is P v0_i times a phase for some Pauli P.  P
+    commutes or anticommutes with each generator of curve j, so it maps
+    each column of basis j to another times a phase: the overlaps |<P v0_i|w>|
+    over the columns w of basis j permute |<v0_i|w>|, and the row
+    v0_i^dag B_j fails exactly where the full cross Gram fails.  Basis j is
+    built in its turn, checked in one product against the first columns of
+    all earlier bases, and dropped: O(d^2 + M d) memory for M curves.
+    Identical point sets are skipped (a basis is not unbiased to itself);
+    `failures` lists index pairs in `itertools.combinations` order.
     """
     curves = [assert_admissible(F, c) for c in curves]
     trace_orthogonal = not check_trace_orthogonality(F, curves)
-    bases = [eigenbasis(F, c) for c in curves]
-    failures = []
-    if bases:
-        re, im = np.hstack([b.re for b in bases]), np.hstack([b.im for b in bases])
-        norm_exps = np.concatenate([b.norm_exps for b in bases])
-    for i, b in enumerate(bases[:-1]):
-        cols = slice((i + 1) * F.order, None)
-        # the later bases side by side, one MubBasis with no points or labels
-        if not check_unbiased(F, b, MubBasis(frozenset(), (), re[:, cols], im[:, cols],
-                                             norm_exps[cols])):
-            failures += [(i, j) for j, c in enumerate(bases[i + 1:], i + 1)
-                         if c.points != b.points and not check_unbiased(F, b, c)]
-    return VerificationReport(F.n, len(bases), trace_orthogonal, not failures,
-                              tuple(failures))
+    d, m = F.order, len(curves)
+    # column i: the first column of basis i and its norm exponent
+    re, im = np.empty((d, m), dtype=np.int64), np.empty((d, m), dtype=np.int64)
+    norm_exps = np.empty(m, dtype=np.int64)
+    bound, failures = 0, []
+    for j, c in enumerate(curves):
+        b = eigenbasis(F, c)
+        if j:
+            ok = _unbiased_rows(F, re[:, :j], im[:, :j], norm_exps[:j], bound, b)
+            failures += [(i, j) for i in np.flatnonzero(~ok).tolist() if curves[i] != c]
+        re[:, j], im[:, j], norm_exps[j] = b.re[:, 0], b.im[:, 0], b.norm_exps[0]
+        bound = max(bound, b.entry_bound)
+    failures.sort()
+    return VerificationReport(F.n, m, trace_orthogonal, not failures, tuple(failures))

@@ -557,6 +557,10 @@ class TestGoldenOutputs:
          "8f83cba8980840cd06f8a8a2a12b71e83e6cfbf778621f9f0da6abf380d4a871"),
         (("verify", "--n", "3", "--strategy", "search"),
          "297324cf810dac34b64b6ae84a512dc8a5c4026e323a844c359b621863da7662"),
+        (("verify", "--n", "5"),
+         "e5b98fc78d02cda5271a8fb5f982e03c1ce52ea284e1207d6969830cee09e498"),
+        (("verify", "--n", "5", "--format", "json"),
+         "7360adda02a7c9c865f00c6f0a88a4109e6a337795e86fa37d5a8480b366ddc2"),
         (("transform", "--n", "2", "--curve", "b = 0", "--ops", "x@1;x@2"),
          "35764c84cad43703796eed2913b36b00194f74b368c99f343ea7c267315d0bc7"),
         (("transform", "--n", "3", "--curve", "b = s^3*a", "--ops", "z@1;y@2;x@3",
@@ -569,10 +573,11 @@ class TestGoldenOutputs:
             "bundle-closure-n3-json", "bundle-search-n2", "bundle-search-n3-json",
             "bundle-search-seeded-n3", "verify-n1", "verify-n2-tsv", "verify-n3-tsv",
             "verify-n4", "verify-tail-n3-json", "verify-tail-n4", "verify-tail-n2-json",
-            "verify-seed-n2", "verify-search-n3", "transform-n2", "transform-n3-json",
-            "transform-n4"])
+            "verify-seed-n2", "verify-search-n3", "verify-n5", "verify-n5-json",
+            "transform-n2", "transform-n3-json", "transform-n4"])
     def test_bundle_verify_transform(self, capsys, tmp_path, argv, digest):
-        """Captured before curves were carried as validated `Curve` values."""
+        """Captured before curves were carried as validated `Curve` values;
+        the n = 5 `verify` digests before `verify_atlas` streamed its bases."""
         for name, curves in self.SEEDS.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(curves))
         argv = [str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from mubcurves.field import echelon_basis, make_field, modulus_from_bits, subgro
 
 from monomials import coords, monomial
 from strategies import lagrangians
-from test_pauli import BUNDLES
+from test_pauli import BUNDLES, regular_tail
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -423,6 +424,9 @@ class TestEigenbasis:
 
 
 F32 = make_field(5)
+# the bundles of `test_pauli` and the two built at n = 5
+BUNDLES_TO_N5 = {**BUNDLES, "rays-n5": (5, B.ray_bundle),
+                 "tail-n5": (5, lambda F: B.build_regular_bundle(F, regular_tail(F)))}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -553,30 +557,72 @@ class TestUnbiasedness:
             with pytest.raises(OverflowError):
                 V._gram(ar, ai, br, bi, a, b + 1)
 
-    @pytest.mark.parametrize("case", [*BUNDLES, "rays-n5"])
+    @pytest.mark.parametrize("case", BUNDLES_TO_N5)
     def test_row_blocks_match_int64_pairs(self, case):
-        n, build = BUNDLES.get(case, (5, B.ray_bundle))
+        n, build = BUNDLES_TO_N5[case]
         F = make_field(n)
         curves = build(F).curves
         rep = V.verify_atlas(F, curves)
         assert rep.failures == pairwise_failures(F, curves) == ()
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_row_blocks_match_int64_pairs_on_negative_controls(self, n):
         """A genuine bundle with one curve swapped for an atlas curve that
-        meets another member: the failures name the same pairs."""
+        meets another member: the failures name the same pairs.  Intruders
+        are drawn from the whole atlas until one qualifies, as listing the
+        qualifying curves of the n = 5 atlas would be slow."""
         F, rng = make_field(n), random.Random(n)
         atlas = ATLASES.get(n) or C.enumerate_curves(F)
-        builds = [build for m, build in BUNDLES.values() if m == n]
+        builds = [build for m, build in BUNDLES_TO_N5.values() if m == n]
         for _ in range(20):
             curves = list(rng.choice(builds)(F).curves)
             swap = rng.randrange(len(curves))
             rest = curves[:swap] + curves[swap + 1:]
-            intruder = rng.choice([c for c in atlas if c not in curves
-                                   and not C.all_nonintersecting(rest + [c])])
+            intruder = rng.choice(atlas)
+            while intruder in curves or C.all_nonintersecting(rest + [intruder]):
+                intruder = rng.choice(atlas)
             curves[swap] = intruder
             rep = V.verify_atlas(F, curves)
             assert rep.failures and rep.failures == pairwise_failures(F, curves)
+
+    def test_failures_in_combinations_order(self):
+        """Many biased pairs with different second indices, so a list kept
+        in the order the pairs are found would differ from the oracle's."""
+        curves = ATLASES[3][:16]
+        rep = V.verify_atlas(F8, curves)
+        assert len({j for _, j in rep.failures}) > 5
+        assert rep.failures == pairwise_failures(F8, curves)
+
+    @pytest.mark.parametrize("F", [F4, F8], ids=["n2", "n3"])
+    def test_one_row_decides_a_pair(self, F):
+        """The lemma behind `verify_atlas`: for every ordered pair of atlas
+        curves, each column of the first basis alone (its row of the int64
+        cross Gram) gives the verdict of the full `check_unbiased`."""
+        bases = [V.eigenbasis(F, c) for c in ATLASES[F.n]]
+        re, im = np.hstack([b.re for b in bases]), np.hstack([b.im for b in bases])
+        exps = np.concatenate([b.norm_exps for b in bases])
+        bound = max(b.entry_bound for b in bases)
+        for b1 in bases:
+            gre, gim = int64_gram(b1.re, b1.im, re, im, b1.entry_bound, bound)
+            ok = F.order * (gre * gre + gim * gim) == np.left_shift(1, b1.norm_exps[:, None] + exps)
+            # rows[k, j]: column k of b1 is unbiased to every column of basis j
+            rows = ok.reshape(F.order, len(bases), F.order).all(axis=2)
+            full = np.array([V.check_unbiased(F, b1, b2) for b2 in bases])
+            assert (rows == full).all()
+
+    def test_verify_atlas_keeps_one_basis_at_a_time(self):
+        """Peak traced memory of one n = 5 call stays below what the re and
+        im of all M bases take together, 2 M d^2 int64 words: no design that
+        keeps every basis, or stacks them, meets it."""
+        curves = B.ray_bundle(F32).curves
+        V.verify_atlas(F32, curves)   # first-call set-up out of the measurement
+        tracemalloc.start()
+        try:
+            assert V.verify_atlas(F32, curves).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(curves) * F32.order ** 2 * 8
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
