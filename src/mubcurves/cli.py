@@ -314,9 +314,11 @@ def _build_bundle(args: argparse.Namespace, F: GF2n) -> B.Bundle:
     if args.strategy == "closure":
         if not args.seed:
             raise InputError("closure strategy needs --seed with 3 explicit curves")
-        seeds = load_seed_curves(F, args.seed)
-        coeffs = [C.explicit_curve(F, s).coeffs for s in seeds]
-        return B.closure_bundle(F, coeffs)
+        ecs = [C.explicit_curve(F, s) for s in load_seed_curves(F, args.seed)]
+        bad = [fmt_explicit(F, ec) for ec in ecs if ec.orientation != "alpha_form"]
+        if bad:
+            raise InputError(f"closure seed {bad[0]!r} is not of the form b = f(a)")
+        return B.closure_bundle(F, [ec.coeffs for ec in ecs])
     if args.strategy == "search":
         C.require_enumerable(F)
         seeds = load_seed_curves(F, args.seed) if args.seed else None

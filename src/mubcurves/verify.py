@@ -6,13 +6,14 @@ state: a Gaussian-integer vector whose squared norm is a power of 2
 (Dehaene & De Moor, PRA 68, 042318, 2003).  An eigenbasis is therefore built
 in closed form, as one such vector and its translates by the monomials of a
 complement of the curve (Aaronson & Gottesman, PRA 70, 052328, 2004), on
-(real, imaginary) int64 matrices.  Unbiasedness is the integer identity
-d |<u|v>|^2 == |u|^2 |v|^2, which one row of overlaps decides for two such
-bases: an atlas is checked one basis at a time against the first column of
-every earlier basis (see `verify_atlas`).  The products run in float64 BLAS
-under an asserted bound that keeps every partial sum an integer below 2^53,
-hence exact, and are cast to int64 before any comparison: no verdict rests
-on a float.
+(real, imaginary) int64 matrices: the one vector and the labels are checked,
+the Pauli commutation rule proves the rest.  Unbiasedness is the integer
+identity d |<u|v>|^2 == |u|^2 |v|^2, which one row of overlaps decides for
+two such bases: an atlas is checked one basis at a time against the first
+column of every earlier basis (see `verify_atlas`).  The products run in
+float64 BLAS under an asserted bound that keeps every partial sum an integer
+below 2^53, hence exact, and are cast to int64 before any comparison: no
+verdict rests on a float.
 """
 
 from __future__ import annotations
@@ -142,14 +143,17 @@ def eigenbasis(F: GF2n, points: Iterable[Point]) -> MubBasis:
     at a time: for D^2 = I it keeps whichever of v + Dv (eigenvalue +1) and
     v - Dv (-1) is nonzero, for D^2 = -I whichever of v + iDv (-i) and
     v - iDv (+i).  v0 is reduced by the gcd of its entries.  The other
-    columns are its translates Z_u X_x v0, (u | x) running over the 2^n
-    words spanned by the unit words that are not pivots of the echelon basis
-    of the generators' (z | x) words: a complement of the curve, so every
-    translate has its own label, v0's plus 2 x its symplectic parities with
-    the generators.  Columns are sorted by their tuple of eigenvalue
-    exponents, so the result is deterministic.  The result is checked
-    exactly: d distinct labels, a power-of-2 norm, orthogonal columns, and
-    each column a joint eigenvector with its label.
+    columns are its translates P v0, P = Z_u X_x, (u | x) running over the
+    2^n words spanned by the unit words that are not pivots of the echelon
+    basis of the generators' (z | x) words: a complement of the curve.
+    Columns are sorted by their labels, so the result is deterministic.
+    Checked exactly: D_j v0 == i^label_j v0 for every generator j (no
+    nonzero vector passes for two anticommuting D_j), a power-of-2 norm^2,
+    and d distinct labels (dependent generator rows fail).  Proven: D_j P =
+    (-1)^s P D_j, s the symplectic parity of P and D_j, so P v0 is a joint
+    eigenvector of v0's norm with v0's label plus 2 s, and columns with
+    different labels differ in the eigenvalue of some unitary D_j, so they
+    are orthogonal.
     """
     pts = assert_admissible(F, points)
     d, n = F.order, F.n
@@ -173,6 +177,10 @@ def eigenbasis(F: GF2n, points: Iterable[Point]) -> MubBasis:
         exps.append(e)
     g = np.gcd.reduce(np.concatenate([v, w]))
     v, w = v // g, w // g
+    cos, sin = np.array([1, 0, -1, 0])[exps][:, None], np.array([0, 1, 0, -1])[exps][:, None]
+    if not (np.array_equal(sign * v[perm], cos * v - sin * w)
+            and np.array_equal(sign * w[perm], sin * v + cos * w)):
+        raise NotCommutative("the cut-out vector is not a joint eigenvector")
     norm2 = int((v * v + w * w).sum())
     e = norm2.bit_length() - 1
     if norm2 != 1 << e:
@@ -192,20 +200,8 @@ def eigenbasis(F: GF2n, points: Iterable[Point]) -> MubBasis:
     u, t, labels = u[order], t[order], labels[order]
     at = np.arange(d)[:, None] ^ t      # column k reads row r of v at r ^ t[k]
     flip = _signs(u, d).T
-    re, im = flip * v[at], flip * w[at]
-    basis = MubBasis(pts, tuple(map(tuple, labels.tolist())), re, im,
-                     np.full(d, e, dtype=np.int64))
-    gre, gim = _gram(re, im, re, im, basis.entry_bound, basis.entry_bound)
-    if gim.any() or not np.array_equal(gre, np.diag(np.full(d, 1 << e))):
-        raise NotCommutative("eigenbasis columns are not orthogonal")
-    # D_j (re + i im) == i^label (re + i im) for every generator j at once
-    cos = np.array([1, 0, -1, 0])[labels.T][:, None]
-    sin = np.array([0, 1, 0, -1])[labels.T][:, None]
-    sign = sign[:, :, None]
-    if not (np.array_equal(sign * re[perm], cos * re - sin * im)
-            and np.array_equal(sign * im[perm], sin * re + cos * im)):
-        raise NotCommutative("eigenbasis columns are not joint eigenvectors")
-    return basis
+    return MubBasis(pts, tuple(map(tuple, labels.tolist())), flip * v[at], flip * w[at],
+                    np.full(d, e, dtype=np.int64))
 
 
 # -- MUB checks --------------------------------------------------------------------
@@ -309,14 +305,15 @@ def verify_bundle(F: GF2n, curves: Sequence[PointSet]) -> BundleReport:
 def verify_atlas(F: GF2n, curves: Sequence[PointSet]) -> VerificationReport:
     """Build every eigenbasis exactly and check pairwise unbiasedness.
 
-    One row decides a pair.  `eigenbasis` checks d distinct labels, each
-    column a joint eigenvector with its label, and orthogonal columns of
-    one norm, so each joint eigenspace of curve j is one column of basis j,
-    and column k of basis i is P v0_i times a phase for some Pauli P.  P
-    commutes or anticommutes with each generator of curve j, so it maps
-    each column of basis j to another times a phase: the overlaps |<P v0_i|w>|
-    over the columns w of basis j permute |<v0_i|w>|, and the row
-    v0_i^dag B_j fails exactly where the full cross Gram fails.  Basis j is
+    One row decides a pair.  Its premises, that basis j holds orthogonal
+    joint eigenvectors of one norm with d distinct labels (so each joint
+    eigenspace of curve j is one column) and that column k of basis i is
+    P v0_i times a phase for a Pauli P, are what `eigenbasis` checks on v0
+    and its labels and proves of the translates.  P commutes or
+    anticommutes with each generator of curve j, so it maps each column of
+    basis j to another times a phase: the overlaps |<P v0_i|w>| over the
+    columns w of basis j permute |<v0_i|w>|, and the row v0_i^dag B_j
+    fails exactly where the full cross Gram fails.  Basis j is
     built in its turn, checked in one product against the first columns of
     all earlier bases, and dropped: O(d^2 + M d) memory for M curves.
     Identical point sets are skipped (a basis is not unbiased to itself);

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
+import pathlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -191,6 +193,19 @@ class TestBundleCommand:
                            "--strategy", "closure", "--seed", str(seeds))
         assert code == 0
         assert "structure: (2, 3, 4)" in out
+
+    @pytest.mark.parametrize("n, seed", [
+        (3, ["a = s^2*b + s^3*b^2 + s^5*b^4", "b = 0", "b = a"]),
+        (2, ["a = 0", "b = a", "b = s*a"])], ids=["n3-singular-g", "n2-vertical-ray"])
+    def test_closure_refuses_seed_not_b_of_a(self, capsys, tmp_path, n, seed):
+        """Closure adds coefficient tuples of b = f(a); a seed with no such
+        form is refused by name, not read as if it were b = g(a)."""
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(json.dumps(seed))
+        code, out, err = run(capsys, "bundle", "--n", str(n),
+                             "--strategy", "closure", "--seed", str(seeds))
+        assert code == 2 and out == ""
+        assert err == f"error: closure seed {seed[0]!r} is not of the form b = f(a)\n"
 
     def test_closure_without_seed_exit_2(self, capsys):
         code, _, err = run(capsys, "bundle", "--n", "3", "--strategy", "closure")
@@ -596,3 +611,57 @@ class TestDeterminism:
     def test_repeated_runs_byte_identical(self, capsys, argv):
         runs = [run(capsys, *argv) for _ in range(2)]
         assert runs[0] == runs[1]
+
+
+def load_cli_sweep():
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_sweep.py"
+    spec = importlib.util.spec_from_file_location("cli_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCliSweep:
+    """`tools/cli_sweep.py`, the byte-for-byte comparison of two checkouts."""
+
+    sweep = load_cli_sweep()
+
+    @staticmethod
+    def option(argv, flag, default):
+        return argv[argv.index(flag) + 1] if flag in argv else default
+
+    def test_call_list_covers_every_command_format_and_strategy(self):
+        calls = self.sweep.calls()
+        assert len(calls) >= 500
+        assert len({json.dumps(c, sort_keys=True) for c in calls}) == len(calls)
+        seen = {(a[0], a[2], self.option(a, "--format", "text"),
+                 self.option(a, "--strategy", "rays") if a[0] in ("bundle", "verify") else "")
+                for _, a in calls if len(a) > 2 and a[1] == "--n"}
+        for n in map(str, range(1, 6)):
+            for fmt in ("text", "json", "tsv"):
+                for command in ("field", "curves", "transform", "bundle", "verify"):
+                    strategy = "rays" if command in ("bundle", "verify") else ""
+                    assert (command, n, fmt, strategy) in seen
+            for strategy in ("regular-tail", "closure", "search"):
+                assert ("bundle", n, "text", strategy) in seen
+
+    def test_lines_hide_the_temporary_directory(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv(cli.ENV_FIELD_CONFIG, raising=False)
+        calls = self.sweep.calls()
+        # a config in the environment, an --out file, a missing seed, a plain call
+        picked = [next(c for c in calls if pick(c)) for pick in (
+            lambda c: c[0], lambda c: "--out" in c[1], lambda c: "@no-such-seed" in c[1],
+            lambda c: c[1] == ["field", "--n", "2", "--format", "text"])]
+        monkeypatch.setattr(self.sweep, "calls", lambda: picked)
+        assert self.sweep.main() == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(picked)
+        for line, (env, argv) in zip(lines, picked):
+            shown, out_sha, err_sha, code = line.split("\t")
+            assert all(len(h) == 64 for h in (out_sha, err_sha)) and code in ("0", "2")
+            assert len(json.loads(shown)) == len(env) + len(argv)
+            assert ("<tmp>" in shown) == any("@" in v for v in [*env.values(), *argv])
+        # the --out call writes `field --n 2 --format text` to its file
+        assert picked[1][1][:5] == picked[3][1]
+        assert lines[1].split("\t")[1] == lines[3].split("\t")[1]
