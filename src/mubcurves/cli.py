@@ -9,6 +9,7 @@ Exit codes: 0 on success (and all requested verifications passing),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -70,16 +71,20 @@ def fmt_curve_points(F: GF2n, pts: C.PointSet) -> str:
     return "{" + ", ".join(fmt_points(F, pts)) + "}"
 
 
+@functools.lru_cache(maxsize=16)
+def _term_table(F: GF2n, var: str) -> tuple[tuple[str, ...], ...]:
+    """Row m, entry c: the term c*var^(2^m) of an additive polynomial, with
+    var^1 written var and a coefficient 1 left out.  Built once per field
+    and variable."""
+    powers = [var] + [f"{var}^{1 << m}" for m in range(1, F.n)]
+    return tuple(tuple(power if c == 1 else f"{F.format_element(c)}*{power}"
+                       for c in F.elements()) for power in powers)
+
+
 def _additive_terms(F: GF2n, coeffs: Sequence[int], var: str) -> list[str]:
     """The nonzero terms c*var^(2^m) of an additive polynomial, lowest power
-    first; var^1 is written var and a coefficient 1 is left out."""
-    terms = []
-    for m, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        power = var if m == 0 else f"{var}^{1 << m}"
-        terms.append(power if c == 1 else f"{F.format_element(c)}*{power}")
-    return terms
+    first, read from the field's `_term_table`."""
+    return [row[c] for row, c in zip(_term_table(F, var), coeffs) if c]
 
 
 def fmt_explicit(F: GF2n, ec: C.ExplicitCurve) -> str:
@@ -88,7 +93,8 @@ def fmt_explicit(F: GF2n, ec: C.ExplicitCurve) -> str:
     return f"{dep} = " + (" + ".join(terms) if terms else "0")
 
 
-def fmt_partition(part: Sequence[Sequence[int]]) -> str:
+@functools.lru_cache(maxsize=4096)
+def fmt_partition(part: tuple[tuple[int, ...], ...]) -> str:
     return "{" + ",".join(str(len(b)) for b in part) + "}"
 
 
@@ -378,9 +384,10 @@ def cmd_bundle(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     F = _build_field(args)
-    if args.seed:
-        curves = load_seed_curves(F, args.seed)
-        bundle = B.make_bundle(F, curves)
+    # a seed file is the whole bundle, except for the strategies that grow
+    # one from their seeds, as `bundle` does
+    if args.seed and args.strategy not in ("closure", "search"):
+        bundle = B.make_bundle(F, load_seed_curves(F, args.seed))
     else:
         bundle = _build_bundle(args, F)
     report = V.verify_bundle(F, bundle.curves)

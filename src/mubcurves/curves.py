@@ -136,7 +136,7 @@ def _top(F: GF2n, rows: Sequence[int]) -> tuple[int, ...]:
     """The nonzero top halves of ascending reduced echelon rows (`gens` or
     `cogens`): the rows from the first one at or above 2^n on, shifted down.
     They are the reduced echelon basis of that projection."""
-    return tuple(r >> F.n for r in rows[bisect.bisect_left(rows, F.order):])
+    return tuple(map(F.n.__rrshift__, rows[bisect.bisect_left(rows, F.order):]))
 
 
 def is_admissible(F: GF2n, points: Iterable[Point]) -> bool:
@@ -216,18 +216,27 @@ def classify_points(F: GF2n, points: Iterable[Point]) -> CurveClassification:
     Curve's `gens` and `cogens`: the count of rows at or above 2^n.
     Regular means at least one of them is the whole field (its
     parametrising additive map is a bijection); exceptional means both are
-    singular while the curve itself still has 2^n distinct points.
+    singular while the curve itself still has 2^n distinct points.  Curves
+    with the same degree, ranks and ray test share one classification.
     """
     pts = assert_admissible(F, points)
-    ra, rb = (len(rows) - bisect.bisect_left(rows, F.order)
-              for rows in (pts.gens, pts.cogens))
+    gens, cogens, n = pts.gens, pts.cogens, F.n
+    ra = len(gens) - bisect.bisect_left(gens, F.order)
+    rb = len(cogens) - bisect.bisect_left(cogens, F.order)
+    return _classification(n, ra, rb, (ra == n or rb == n) and _is_ray(F, pts))
+
+
+@functools.lru_cache(maxsize=256)
+def _classification(n: int, ra: int, rb: int, ray: bool) -> CurveClassification:
+    """The classification of a curve of degree n with projection ranks ra
+    and rb; `ray` is whether a regular one is stable under field scaling."""
     variant = ("Exceptional", "RegularBetaOnly", "RegularAlphaOnly",
-               "RegularBoth")[2 * (ra == F.n) + (rb == F.n)]
+               "RegularBoth")[2 * (ra == n) + (rb == n)]
     kind = "exceptional" if variant == "Exceptional" else "regular"
-    if kind == "regular" and _is_ray(F, pts):
+    if ray:
         variant = "Ray"
-    return CurveClassification(kind, variant, int(ra == F.n), int(rb == F.n), ra, rb,
-                               1 << (F.n - ra), 1 << (F.n - rb))
+    return CurveClassification(kind, variant, int(ra == n), int(rb == n), ra, rb,
+                               1 << (n - ra), 1 << (n - rb))
 
 
 def classify(F: GF2n, curve: ParametricCurve) -> CurveClassification:
@@ -391,18 +400,24 @@ def trace_witness(F: GF2n, eq: StructuralEquation) -> int:
 def structural_equations(
         F: GF2n, points: Iterable[Point]
 ) -> tuple[StructuralEquation, StructuralEquation]:
-    """Annihilators of the alpha- and beta-projections, keyed by their
-    reduced echelon bases, the `_top` of the Curve's `gens` and `cogens`,
-    with trace witnesses attached when the corresponding degeneracy is
-    exactly 2."""
+    """Annihilators of the alpha- and beta-projections, with trace witnesses
+    attached when the corresponding degeneracy is exactly 2: one look-up
+    each, keyed by their reduced echelon bases, the `_top` of the Curve's
+    `gens` and `cogens`."""
     pts = assert_admissible(F, points)
-    out = []
-    for rows in (pts.gens, pts.cogens):
-        eq = annihilator(F, _top(F, rows))
-        if eq.rank == F.n - 1:
-            eq = StructuralEquation(eq.coeffs, trace_witness(F, eq))
-        out.append(eq)
-    return out[0], out[1]
+    return (_projection_equation(F, _top(F, pts.gens)),
+            _projection_equation(F, _top(F, pts.cogens)))
+
+
+@functools.lru_cache(maxsize=4096)
+def _projection_equation(F: GF2n, basis: tuple[int, ...]) -> StructuralEquation:
+    """The annihilator of the subgroup with this reduced echelon basis, with
+    its trace witness attached when the subgroup has index 2; built once
+    per field and subgroup."""
+    eq = annihilator(F, basis)
+    if eq.rank == F.n - 1:
+        eq = StructuralEquation(eq.coeffs, trace_witness(F, eq))
+    return eq
 
 
 # -- exceptional-curve constructors ----------------------------------------------

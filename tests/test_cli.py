@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import itertools
 import json
 import pathlib
 
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mubcurves import cli
 from mubcurves import curves as C
 from mubcurves.errors import InputError, MubcError
-from mubcurves.field import load_field_config, make_field
+from mubcurves.field import load_field_config, make_field, modulus_from_bits
 
 F4 = make_field(2)
 F8 = make_field(3)
@@ -137,6 +138,51 @@ class TestCurveParsing:
             cli.parse_ops("x1")
 
 
+def oracle_additive_terms(F, coeffs, var):
+    """The terms of an additive polynomial, formatted one by one as the
+    record text was before the per-field term tables."""
+    terms = []
+    for m, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        power = var if m == 0 else f"{var}^{1 << m}"
+        terms.append(power if c == 1 else f"{F.format_element(c)}*{power}")
+    return terms
+
+
+class TestTermTable:
+    """`cli._term_table` against the per-term formatter it replaced."""
+
+    @pytest.mark.parametrize("n,bits", [(1, None), (2, None), (3, None), (4, "11001"),
+                                        (4, "10011"), (5, None)])
+    def test_every_term(self, n, bits):
+        F = make_field(n, modulus_from_bits(bits) if bits else None)
+        for var in ("a", "b"):
+            table = cli._term_table(F, var)
+            assert len(table) == n
+            for m, c in itertools.product(range(n), F.elements()):
+                coeffs = [0] * n
+                coeffs[m] = c
+                expected = oracle_additive_terms(F, coeffs, var)
+                assert cli._additive_terms(F, coeffs, var) == expected
+                if c:
+                    assert [table[m][c]] == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from([make_field(n) for n in range(1, 6)]), st.data())
+    def test_polynomials(self, F, data):
+        """Whole polynomials, also shorter than n terms (a structural
+        equation's), keep their terms in order."""
+        coeffs = data.draw(st.lists(st.integers(0, F.order - 1), min_size=0, max_size=F.n))
+        assert cli._additive_terms(F, coeffs, "b") == oracle_additive_terms(F, coeffs, "b")
+
+    def test_tables_are_per_field(self):
+        """Two moduli of one degree name the same element differently."""
+        F_a, F_b = (make_field(4, modulus_from_bits(bits)) for bits in ("11001", "10011"))
+        assert cli._term_table(F_a, "a") != cli._term_table(F_b, "a")
+        assert cli._term_table(F_a, "a") is cli._term_table(make_field(4), "a")
+
+
 class TestTransformCommand:
     def test_x_rotation_of_diagonal(self, capsys):
         code, out, _ = run(capsys, "transform", "--n", "2",
@@ -249,6 +295,26 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--n", "2", "--seed", str(seeds))
         assert code == 0
         assert "all checks pass" in out
+
+    @pytest.mark.parametrize("strategy,seeds", [
+        ("closure", ["b = s^6*a + s^3*a^2 + s^5*a^4", "b = s^2*a + s^5*a^2 + s^6*a^4",
+                     "b = s^3*a"]),
+        ("search", ["b = s^3*a", "b = s^6*a + s^3*a^2 + s^5*a^4"]),
+    ])
+    def test_seeds_grow_a_bundle_as_in_bundle(self, capsys, tmp_path, strategy, seeds):
+        """With --strategy closure or search, --seed holds the seeds that the
+        strategy grows into a bundle, not the bundle: `verify` reports what
+        `bundle` does, then its verdict."""
+        path = tmp_path / "seeds.json"
+        path.write_text(json.dumps(seeds))
+        argv = ("--n", "3", "--strategy", strategy, "--seed", str(path))
+        built = run(capsys, "bundle", *argv)
+        code, out, err = run(capsys, "verify", *argv)
+        assert built[0] == code == 0 and err == ""
+        assert out == built[1] + "all checks pass\n"
+        # the same file read as a whole bundle is too short
+        code, _, err = run(capsys, "verify", "--n", "3", "--seed", str(path))
+        assert code == 2 and "a bundle needs 9 distinct curves" in err
 
     def test_incomplete_seed_exit_2(self, capsys, tmp_path):
         seeds = tmp_path / "bundle.json"
@@ -513,11 +579,31 @@ class TestGoldenOutputs:
          "7981a62a8855106a48ec41d5c79cd45047e25d6a7adc428b8281d66cc4c63e0a"),
         (("--n", "4", "--modulus", "10011"),
          "7fe1bc75e4c770596a3ed29d6655ec7ed69fb03eb8602f86e9629c445823b613"),
-    ], ids=["n1", "n2", "n3", "n3-1011", "n3-json", "n3-tsv", "n4", "n4-11001", "n4-10011"])
+        # captured before the records were read from per-field tables
+        (("--n", "4", "--modulus", "11001", "--format", "json"),
+         "5bd20a63b71e16ad77308d8b89559849f3c01801aaa616219ed89fdfe7c40859"),
+        (("--n", "4", "--modulus", "11001", "--format", "tsv"),
+         "753571a0ff52ba4facbc4a2876c90963b2c9aff3667b492485836002b2860f33"),
+        (("--n", "4", "--modulus", "10011", "--format", "json"),
+         "594409bf75f64dfec0cbf94beef6967dcf4b7aa0e53fed7f1220b29288eedb96"),
+        (("--n", "4", "--modulus", "10011", "--format", "tsv"),
+         "bfcc371af78ebe7e746d3f4ac1c97de549ee6731bb171ea283f508d2a57e6efe"),
+    ], ids=["n1", "n2", "n3", "n3-1011", "n3-json", "n3-tsv", "n4", "n4-11001", "n4-10011",
+            "n4-11001-json", "n4-11001-tsv", "n4-10011-json", "n4-10011-tsv"])
     def test_curves(self, capsys, argv, digest):
         code, out, err = run(capsys, "curves", *argv)
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_five_qubit_records(self):
+        """`mubc curves` refuses n = 5, so the records of every 7th curve of
+        the n = 5 atlas are pinned as sorted-key JSON, captured before the
+        records were read from per-field tables."""
+        F = make_field(5)
+        records = [cli.curve_record(F, curve) for curve in C.enumerate_curves(F)[::7]]
+        assert len(records) == 10820
+        assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == (
+            "1bbedc8f35f42ffba7b00f9a506b3310186241dd75cb5ae9f36a7db7acccfd48")
 
     # seed files: "@name" in an argv is replaced by the path of SEEDS[name]
     SEEDS = {

@@ -4,6 +4,7 @@ exceptional constructors, enumeration, nonintersection."""
 from __future__ import annotations
 
 import collections
+import dataclasses
 import itertools
 import random
 import sys
@@ -902,6 +903,33 @@ class TestGeneratorRecords:
             assert_records_match_oracle(F, curve)
 
     @pytest.mark.parametrize("F", ORACLE_FIELDS, ids=ORACLE_IDS)
+    def test_shared_classifications(self, F):
+        """Every atlas curve's classification equals the oracle's, and curves
+        with the same ranks and variant share one instance."""
+        shared = {}
+        for curve in C.enumerate_curves(F):
+            cls = C.classify_points(F, curve)
+            assert cls == oracle_classify_points(F, curve)
+            assert shared.setdefault((cls.rank_alpha, cls.rank_beta, cls.variant), cls) is cls
+
+    def test_classify_leaves_the_shared_classification_unchanged(self):
+        """`classify` attaches the W determinants to a copy; the instance
+        that `classify_points` hands to every curve of its class stays as it
+        was, and refuses to be changed in place."""
+        for curve in (CURVE_431, CURVE_432):
+            pts = C.point_set(F8, curve)
+            shared = C.classify_points(F8, pts)
+            before = dataclasses.astuple(shared)
+            cls = C.classify(F8, curve)
+            assert cls is not shared
+            assert cls == dataclasses.replace(shared, det_alpha=cls.det_alpha,
+                                              det_beta=cls.det_beta)
+            assert C.classify_points(F8, pts) is shared
+            assert dataclasses.astuple(shared) == before
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                shared.det_alpha = 7
+
+    @pytest.mark.parametrize("F", ORACLE_FIELDS, ids=ORACLE_IDS)
     def test_validated_point_sets(self, F):
         # plain point sets get their generators from `assert_admissible`
         for pts in C.enumerate_curves(F)[::5]:
@@ -940,6 +968,7 @@ class TestGeneratorRecords:
         elements, also with cold memos."""
         calls = collections.defaultdict(list)
         C.annihilator.cache_clear()
+        C._projection_equation.cache_clear()
         C._explicit_table.cache_clear()
 
         def counting(name, f):

@@ -13,7 +13,8 @@ same on every call:
     diff before.txt after.txt
 
 The calls cover every subcommand, format and bundle strategy at n = 1..5,
-the degrees and moduli on either side of the supported range, and good and
+the degrees and moduli on either side of the supported range, the curve
+records in every format under each n = 3 and n = 4 modulus, and good and
 malformed curves, ops, seed files and field configs.  They run in process,
 through `mubcurves.cli.main`; an argparse refusal records its SystemExit
 code, and an uncaught exception records `raised <type>` as the exit code
@@ -89,6 +90,8 @@ def calls() -> list[tuple[dict, list[str]]]:
         add("field", "--n", str(n), "--modulus", bits)
         if n in (3, 4):
             add("curves", "--n", str(n), "--modulus", bits)
+            for fmt in FORMATS[1:]:
+                add("curves", "--n", str(n), "--modulus", bits, "--format", fmt)
             add("verify", "--n", str(n), "--modulus", bits)
     for name, n, fmt in itertools.product(CONFIGS, (2, 3), ("text", "json")):
         add("field", "--n", str(n), "--format", fmt, env={CONFIG_ENV: f"@{name}"})
