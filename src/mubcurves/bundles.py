@@ -39,14 +39,21 @@ class Bundle:
         return len(self.curves)
 
 
-def make_bundle(F: GF2n, curves: Iterable[PointSet]) -> Bundle:
-    """Validate and canonically order a complete bundle."""
-    cs = sorted({assert_admissible(F, c) for c in curves}, key=_sort_key)
+def bundle_candidates(F: GF2n, curves: Iterable[PointSet]) -> tuple[Curve, ...]:
+    """The distinct admissible curves in canonical order, 2^n + 1 of them,
+    whether or not they intersect."""
+    cs = tuple(sorted({assert_admissible(F, c) for c in curves}, key=_sort_key))
     if len(cs) != F.order + 1:
         raise InputError(f"a bundle needs {F.order + 1} distinct curves, got {len(cs)}")
+    return cs
+
+
+def make_bundle(F: GF2n, curves: Iterable[PointSet]) -> Bundle:
+    """Validate and canonically order a complete bundle."""
+    cs = bundle_candidates(F, curves)
     if not all_nonintersecting(cs):
         raise InputError("bundle curves intersect away from the origin")
-    return Bundle(tuple(cs))
+    return Bundle(cs)
 
 
 def vertical_ray(F: GF2n) -> PointSet:

@@ -353,11 +353,10 @@ class StructuralEquation:
         return out ^ F.frobenius(x, self.rank)
 
 
-@functools.lru_cache(maxsize=4096)
 def annihilator(F: GF2n, basis: tuple[int, ...]) -> StructuralEquation:
     """The monic additive polynomial of degree 2^r whose roots are the
     subgroup with this reduced echelon basis (`echelon_basis` of any
-    generating set), so that it is built once per field and subgroup.
+    generating set), the key of `_projection_equation`'s memo.
 
     Closed form: the subspace polynomial, built over the basis g_1..g_r by
     P <- P^2 + P(g) P from P = x; each step doubles the roots to the span

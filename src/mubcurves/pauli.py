@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Sequence
+import operator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, clip
 from .curves import Point, PointSet, assert_admissible
@@ -30,42 +31,39 @@ def monomial_label(F: GF2n, alpha: int, beta: int) -> str:
 # -- factorization structure -----------------------------------------------------
 
 
-def _set_partitions(items: Sequence[int]) -> Iterable[list[list[int]]]:
-    """All partitions of `items` into nonempty blocks (Bell(5) = 52 at most)."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
-
-
 @functools.cache
-def _partition_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
-    """(qubit masks, output blocks) of every set partition of n qubits.
-
-    Stably sorted by decreasing block count, so among partitions with equal
-    counts the `_set_partitions` order is kept; the blocks are 1-based and
-    sorted by (size, qubits).  Built on first use, once per degree.
-    """
-    table = []
-    for part in sorted(_set_partitions(list(range(n))), key=lambda p: -len(p)):
-        masks = tuple(sum(1 << (n - 1 - q) for q in block) for block in part)
-        blocks = sorted((sorted(q + 1 for q in block) for block in part),
-                        key=lambda b: (len(b), b))
-        table.append((masks, tuple(tuple(b) for b in blocks)))
-    return tuple(table)
-
-
-@functools.cache
-def _partition_validity(n: int) -> tuple[int, ...]:
-    """Entry w: bit i is set when the word w has even parity on every block
-    of partition i of `_partition_table(n)`."""
-    return tuple(sum(1 << i for i, (masks, _) in enumerate(_partition_table(n))
-                     if not any((w & m).bit_count() & 1 for m in masks))
+def _even_cuts(n: int) -> tuple[int, ...]:
+    """Entry w: bit m is set when the qubit mask m has even parity on the
+    word w.  Built on first use, once per degree."""
+    return tuple(sum(1 << m for m in range(1 << n) if not (w & m).bit_count() & 1)
                  for w in range(1 << n))
+
+
+def _cuts(F: GF2n, points: Iterable[Point]) -> int:
+    """Bit m is set when the curve's stabilizer state is a product across
+    the qubit mask m and its complement: when every generator pair's clash
+    word (z1 & x2) ^ (z2 & x1) has even parity on m, so that the generators
+    cut down to m commute.  The parity is bilinear in the pair, so the n
+    generators will do, and the cuts are the AND of their `_even_cuts`."""
+    low, words = F.order - 1, F.coord_bits
+    gens = [(words[g >> F.n], words[g & low]) for g in assert_admissible(F, points).gens]
+    even = _even_cuts(F.n)
+    cuts = even[0]
+    for (z1, x1), (z2, x2) in itertools.combinations(gens, 2):
+        cuts &= even[(z1 & x2) ^ (z2 & x1)]
+    return cuts
+
+
+@functools.cache
+def _atoms(n: int, cuts: int) -> tuple[tuple[int, ...], ...]:
+    """The atoms of a cut algebra: qubit q's block is the AND of the cuts
+    that hold it (qubit 1 the most significant bit of a mask), as 1-based
+    qubit tuples sorted by (size, qubits)."""
+    held = [[m for m in range(1 << n) if cuts >> m & 1 and m >> (n - q) & 1]
+            for q in range(1, n + 1)]
+    blocks = {functools.reduce(operator.and_, ms) for ms in held}
+    return tuple(sorted((tuple(q for q in range(1, n + 1) if b >> (n - q) & 1) for b in blocks),
+                        key=lambda b: (len(b), b)))
 
 
 def factorization_partition(F: GF2n,
@@ -74,33 +72,28 @@ def factorization_partition(F: GF2n,
 
     Returned as a tuple of 1-based qubit index tuples, coarsest block last;
     (1,)(2,)...(n,) means the basis is a product of single-qubit states and
-    ((1, ..., n),) means it is fully entangled.  Of several finest ones,
-    the first in `_set_partitions` order.
+    ((1, ..., n),) means it is fully entangled.
 
-    A block carries a commuting tensor factor when every generator pair's
-    clash word (z1 & x2) ^ (z2 & x1) has even parity on its qubit mask.
-    The parity is bilinear in the pair, so the curve's n generators will
-    do: the partitions valid for every clash word are the AND of the
-    words' `_partition_validity` masks, and the finest is its lowest bit.
+    It is unique: the atoms of the curve's `_cuts`.  A pure state that is a
+    product across two cuts is, reduced to one of them, a product over the
+    two pieces of that cut, so both pieces are pure and the state is a
+    product across their intersection too.  The cuts are thus closed under
+    AND and complement, a Boolean algebra; its atoms are memoised per cut
+    set, one per set partition at most.
     """
-    low, words = F.order - 1, F.coord_bits
-    gens = [(words[g >> F.n], words[g & low]) for g in assert_admissible(F, points).gens]
-    validity, valid = _partition_validity(F.n), -1
-    for (z1, x1), (z2, x2) in itertools.combinations(gens, 2):
-        valid &= validity[(z1 & x2) ^ (z2 & x1)]
-    # the last entry, one block, is always valid: the curve is isotropic
-    return _partition_table(F.n)[(valid & -valid).bit_length() - 1][1]
+    return _atoms(F.n, _cuts(F, points))
 
 
 def canonical_partition_types(n: int) -> list[tuple[int, ...]]:
-    """Integer partitions of n as sorted block-size tuples, finest first: the
-    block-size types of the set partitions in `_partition_table(n)`.
+    """Integer partitions of n as sorted block-size tuples, (1,...,1) first
+    and (n,) last: by decreasing block count, then lexicographically."""
+    def parts(rest: int, least: int) -> Iterator[tuple[int, ...]]:
+        if not rest:
+            yield ()
+        for k in range(least, rest + 1):
+            yield from ((k,) + tail for tail in parts(rest - k, k))
 
-    Ordered by decreasing block count, ties broken lexicographically, so
-    (1,...,1) is first and (n,) last; the list has p(n) entries.
-    """
-    return sorted({partition_type(blocks) for _, blocks in _partition_table(n)},
-                  key=lambda p: (-len(p), p))
+    return sorted(parts(n, 1), key=lambda p: (-len(p), p))
 
 
 def partition_type(partition: Sequence[Sequence[int]]) -> tuple[int, ...]:

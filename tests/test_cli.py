@@ -11,6 +11,7 @@ import pathlib
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from mubcurves import bundles as B
 from mubcurves import cli
 from mubcurves import curves as C
 from mubcurves.errors import InputError, MubcError
@@ -321,6 +322,45 @@ class TestVerifyCommand:
         seeds.write_text(json.dumps(["b = 0", "b = a"]))
         code, _, err = run(capsys, "verify", "--n", "2", "--seed", str(seeds))
         assert code == 2 and "error:" in err
+
+    INTERSECTING = ["b = 0", "b = a", "b = s*a", "b = a^2", "a = 0"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "tsv"])
+    def test_intersecting_seed_bundle_fails_with_exit_1(self, capsys, tmp_path, fmt):
+        """2^n + 1 distinct admissible curves that meet away from the origin
+        are a bundle that fails verification, not bad input."""
+        seeds = tmp_path / "bundle.json"
+        seeds.write_text(json.dumps(self.INTERSECTING))
+        code, out, err = run(capsys, "verify", "--n", "2", "--seed", str(seeds),
+                             "--format", fmt)
+        assert code == 1 and err == ""
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["checks"] == {"nonintersecting": False, "commuting_sets": True,
+                                         "trace_orthogonality": False, "unbiasedness": False}
+            assert len(payload["curves"]) == 5
+        else:
+            lines = out.splitlines()
+            assert lines[0] == "bundle of 5 curves over GF(2^2)"
+            for line in ("nonintersecting: FAIL", "unbiasedness: FAIL", "verification FAILED"):
+                assert line in lines
+            assert lines[-1] == "verification FAILED"
+        # `make_bundle` still refuses the same curves
+        with pytest.raises(InputError, match="intersect away from the origin"):
+            B.make_bundle(F4, cli.load_seed_curves(F4, str(seeds)))
+
+    @pytest.mark.parametrize("seed", [
+        ["b = 0", "b = a", "b = s*a", "b = a", "a = 0"],
+        ["b = 0", "b = a", "b = s*a", "b = a^2", "a = 0", "b = s^2*a"],
+        ["b = 0", "b = a", "b = s*a", "b = a^2", [[0, 0], [2, 0], [0, 2], [2, 2]]],
+    ], ids=["repeated", "too-many", "non-isotropic"])
+    def test_intersecting_seed_of_wrong_size_or_curve_exit_2(self, capsys, tmp_path, seed):
+        seeds = tmp_path / "bundle.json"
+        seeds.write_text(json.dumps(seed))
+        for fmt in ("text", "json", "tsv"):
+            code, out, err = run(capsys, "verify", "--n", "2", "--seed", str(seeds),
+                                 "--format", fmt)
+            assert code == 2 and out == "" and err.startswith("error: ")
 
     def test_json_checks(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "3", "--format", "json")
@@ -730,6 +770,16 @@ class TestCliSweep:
                     assert (command, n, fmt, strategy) in seen
             for strategy in ("regular-tail", "closure", "search"):
                 assert ("bundle", n, "text", strategy) in seen
+        # one and several rotations of an exceptional curve per degree 2..5
+        rotated = {(a[2], a[4], self.option(a, "--format", "text"), ";" in a[6])
+                   for _, a in calls if a[:1] == ["transform"] and "--ops" in a}
+        for name, (n, points) in self.sweep.EXCEPTIONAL.items():
+            for fmt, several in itertools.product(("text", "json", "tsv"), (False, True)):
+                assert (str(n), json.dumps(points), fmt, several) in rotated
+            F = make_field(n)
+            rec = cli.curve_record(F, cli.parse_curve_arg(F, json.dumps(points)))
+            assert rec["kind"] == "exceptional" and name == f"n{n}-{rec['partition']}"
+        assert {n for n, _ in self.sweep.EXCEPTIONAL.values()} == {2, 3, 4, 5}
 
     def test_lines_hide_the_temporary_directory(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")

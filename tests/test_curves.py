@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
 import itertools
 import random
 import sys
@@ -39,6 +40,7 @@ from mubcurves.field import (
     trace_orthogonal_complement,
 )
 
+from partitions import oracle_factorization_partition
 from strategies import lagrangians
 
 F4 = make_field(2)
@@ -760,15 +762,16 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("warm,cold", [("10011", "11001"), ("11001", "10011")])
     def test_annihilator_memo_is_per_field(self, warm, cold):
-        """With every proper subgroup memoised under one n = 4 modulus, the
-        other modulus still gets its own Moore-system annihilators."""
-        C.annihilator.cache_clear()
+        """With every proper subgroup's structural equation memoised under
+        one n = 4 modulus, the other modulus still gets its own
+        Moore-system annihilators."""
+        C._projection_equation.cache_clear()
         F_warm, F_cold = (make_field(4, modulus_from_bits(bits)) for bits in (warm, cold))
         bases = [b for r in range(4) for b in C._subspace_bases(4, r)]
         assert len(bases) == 66 and all(echelon_basis(b) == b for b in bases)
-        warmed = [C.annihilator(F_warm, b) for b in bases]
-        assert C.annihilator.cache_info().currsize == 66
-        cold_eqs = [C.annihilator(F_cold, b) for b in bases]
+        warmed = [C._projection_equation(F_warm, b) for b in bases]
+        assert C._projection_equation.cache_info().currsize == 66
+        cold_eqs = [C._projection_equation(F_cold, b) for b in bases]
         assert all(eq.coeffs == moore_annihilator(F_cold, subgroup_span(b))
                    for eq, b in zip(cold_eqs, bases))
         assert warmed != cold_eqs   # the memo must not hand one field's polynomials to the other
@@ -794,23 +797,17 @@ class TestClosedForms:
         assert len(rays) == F.order + 1
 
     def test_curves_command_work_counts(self, capsys, monkeypatch):
-        """No Moore system is solved, and the partition table of a degree is
-        built once: `_set_partitions` is entered at qubit 0 once per build."""
+        """No Moore system is solved, and the parity table of a degree is
+        built once."""
         solves, builds = [], []
-        solve, partitions = FLD.mat_solve, P._set_partitions
+        solve, even_cuts = FLD.mat_solve, P._even_cuts.__wrapped__
         for mod in (mubcurves, FLD, C, P, V, B, cli):
             if getattr(mod, "mat_solve", None) is solve:
                 monkeypatch.setattr(mod, "mat_solve",
                                     lambda *args: solves.append(args) or solve(*args))
-
-        def counted(items):
-            if list(items[:1]) == [0]:
-                builds.append(len(items))
-            return partitions(items)
-
-        monkeypatch.setattr(P, "_set_partitions", counted)
-        P._partition_table.cache_clear()
-        C.annihilator.cache_clear()
+        monkeypatch.setattr(P, "_even_cuts",
+                            functools.cache(lambda n: builds.append(n) or even_cuts(n)))
+        C._projection_equation.cache_clear()
         C._explicit_table.cache_clear()
         assert cli.main(["curves", "--n", "4"]) == 0
         assert cli.main(["curves", "--n", "4", "--modulus", "11001"]) == 0
@@ -860,18 +857,6 @@ def oracle_structural_equations(F, points):
             eq = C.StructuralEquation(eq.coeffs, oracle_trace_witness(F, proj))
         out.append(eq)
     return out[0], out[1]
-
-
-def oracle_factorization_partition(F, points):
-    words = F.coord_bits
-    low = F.order - 1
-    gens = [(words[g >> F.n], words[g & low])
-            for g in subgroup_basis(a << F.n | b for a, b in C.assert_admissible(F, points))]
-    clashes = subgroup_basis((z1 & x2) ^ (z2 & x1)
-                             for (z1, x1), (z2, x2) in itertools.combinations(gens, 2))
-    # the last entry, one block, is always valid: the curve is isotropic
-    return next(blocks for masks, blocks in P._partition_table(F.n)
-                if not any((c & m).bit_count() & 1 for c in clashes for m in masks))
 
 
 def outcome(f, *args):
@@ -967,7 +952,6 @@ class TestGeneratorRecords:
         and no `subgroup_basis` or `echelon_basis` call on more than n
         elements, also with cold memos."""
         calls = collections.defaultdict(list)
-        C.annihilator.cache_clear()
         C._projection_equation.cache_clear()
         C._explicit_table.cache_clear()
 

@@ -10,13 +10,15 @@ from mubcurves.errors import InputError, clip
 from mubcurves import bundles as B
 from mubcurves import curves as C
 from mubcurves import pauli as P
-from mubcurves.field import make_field, modulus_from_bits, subgroup_basis
+from mubcurves.field import make_field, modulus_from_bits
 
 from monomials import PauliMonomial, commuting_set, coords, monomial
+from partitions import exhaustive_partitions, is_boolean_algebra, oracle_cuts
 
 F2 = make_field(1)
 F4 = make_field(2)
 F8 = make_field(3)
+F32 = make_field(5)
 
 
 def glyphs(m):
@@ -170,7 +172,7 @@ class TestFactorization:
         assert types4[0] == (1, 1, 1, 1) and types4[-1] == (4,)
         assert len(types4) == 5
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_partition_types_against_integer_partitions(self, n):
         assert P.canonical_partition_types(n) == integer_partitions(n)
 
@@ -292,49 +294,43 @@ class TestLocalTransforms:
         assert seen == set(C.enumerate_curves(F4))
 
 
-def exhaustive_partitions(F, pts):
-    """Every finest valid partition from a scan of all set partitions: a
-    block is valid when each generator pair's clash word has even parity on
-    its qubit mask."""
-    words = F.coord_bits
-    low = F.order - 1
-    gens = [(words[g >> F.n], words[g & low])
-            for g in subgroup_basis(a << F.n | b for a, b in pts)]
-    clashes = [(z1 & x2) ^ (z2 & x1) for (z1, x1), (z2, x2) in itertools.combinations(gens, 2)]
-    valid = [part for part in P._set_partitions(list(range(F.n)))
-             if not any((c & sum(1 << (F.n - 1 - q) for q in block)).bit_count() & 1
-                        for c in clashes for block in part)]
-    finest = max(len(part) for part in valid)
-    return [tuple(tuple(b) for b in sorted((sorted(q + 1 for q in block) for block in part),
-                                           key=lambda b: (len(b), b)))
-            for part in valid if len(part) == finest]
-
-
 ORACLE_FIELDS = [make_field(n, modulus_from_bits(bits) if bits else None)
                  for n, bits in ((1, None), (2, None), (3, None), (3, "1101"),
                                  (4, None), (4, "11001"))]
+ORACLE_IDS = ["n1", "n2", "n3", "n3-1101", "n4", "n4-11001"]
 
 
 class TestPartitionTable:
-    @pytest.mark.parametrize("F", ORACLE_FIELDS,
-                             ids=["n1", "n2", "n3", "n3-1101", "n4", "n4-11001"])
+    @pytest.mark.parametrize("F", ORACLE_FIELDS + [F32], ids=ORACLE_IDS + ["n5"])
     def test_against_exhaustive_scan(self, F):
         for pts in C.enumerate_curves(F):
             finest = exhaustive_partitions(F, pts)
-            # one finest partition per curve, so the tie-break never shows
+            # one finest partition per curve: the atoms of its cut algebra
             assert finest == [P.factorization_partition(F, pts)]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_generation_order_kept_among_equal_block_counts(self, n):
-        parts = list(P._set_partitions(list(range(n))))
-        ordered = [part for k in range(n, 0, -1) for part in parts if len(part) == k]
-        table = P._partition_table(n)
-        assert len(table) == [1, 2, 5, 15, 52][n - 1]
-        assert [masks for masks, _ in table] == [
-            tuple(sum(1 << (n - 1 - q) for q in block) for block in part) for part in ordered]
-        for (_, blocks), part in zip(table, ordered):
-            assert sorted(blocks) == sorted(tuple(q + 1 for q in block) for block in part)
-            assert list(blocks) == sorted(blocks, key=lambda b: (len(b), b))
+    @pytest.mark.parametrize("F", ORACLE_FIELDS + [F32], ids=ORACLE_IDS + ["n5"])
+    def test_cuts_form_a_boolean_algebra(self, F):
+        """The lemma: a curve's cuts are closed under AND and complement,
+        and they are the masks on which every clash word is even."""
+        seen = {}
+        for k, pts in enumerate(C.enumerate_curves(F)):
+            cuts = P._cuts(F, pts)
+            masks = seen.setdefault(cuts, {m for m in range(F.order) if cuts >> m & 1})
+            if F.n < 5 or k % 7 == 0:
+                assert masks == oracle_cuts(F, pts)
+        assert all(is_boolean_algebra(F.n, masks) for masks in seen.values())
+        # as many cut sets as the set partitions that some curve has
+        assert len(seen) == [1, 2, 5, 15, 52][F.n - 1]
+
+    def test_lemma_check_catches_a_set_not_closed_under_and(self):
+        masks = {int(m, 2) for m in ("0000", "1100", "0011", "1010", "0101", "0110", "1001",
+                                     "1111")}
+        full = 0b1111
+        assert all(full ^ m in masks for m in masks)   # closed under complement
+        assert 0b1100 & 0b1010 not in masks
+        assert not is_boolean_algebra(4, masks)
+        assert is_boolean_algebra(4, masks | {0b1000, 0b0100, 0b0010, 0b0001, 0b0111, 0b1011,
+                                              0b1101, 0b1110})
 
 
 class TestBundleStructureSignature:

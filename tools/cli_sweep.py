@@ -14,7 +14,8 @@ same on every call:
 
 The calls cover every subcommand, format and bundle strategy at n = 1..5,
 the degrees and moduli on either side of the supported range, the curve
-records in every format under each n = 3 and n = 4 modulus, and good and
+records in every format under each n = 3 and n = 4 modulus, one and several
+rotations of an exceptional curve per degree n = 2..5, and good and
 malformed curves, ops, seed files and field configs.  They run in process,
 through `mubcurves.cli.main`; an argparse refusal records its SystemExit
 code, and an uncaught exception records `raised <type>` as the exit code
@@ -65,6 +66,23 @@ SEEDS = {
     "not-a-list": {"b": "a"},
     "bad-term": ["b = q*a", "b = a", "b = s*a"],
 }
+# one exceptional curve per degree with a mixed partition where the degree
+# has one, as the sorted point list that the atlas gives; local rotations
+# keep the partition, so n = 5 takes one curve of each mixed type shown
+EXCEPTIONAL = {
+    "n2-{2}": (2, [[0, 0], [0, 1], [1, 0], [1, 1]]),
+    "n3-{1,2}": (3, [[0, 0], [0, 1], [0, 4], [0, 5], [4, 0], [4, 1], [4, 4], [4, 5]]),
+    "n4-{1,3}": (4, [[0, 0], [0, 1], [0, 10], [0, 11], [2, 0], [2, 1], [2, 10], [2, 11],
+                     [5, 0], [5, 1], [5, 10], [5, 11], [7, 0], [7, 1], [7, 10], [7, 11]]),
+    "n5-{1,4}": (5, [[0, 0], [0, 1], [0, 4], [0, 5], [0, 10], [0, 11], [0, 14], [0, 15],
+                     [0, 18], [0, 19], [0, 22], [0, 23], [0, 24], [0, 25], [0, 28], [0, 29],
+                     [4, 0], [4, 1], [4, 4], [4, 5], [4, 10], [4, 11], [4, 14], [4, 15],
+                     [4, 18], [4, 19], [4, 22], [4, 23], [4, 24], [4, 25], [4, 28], [4, 29]]),
+    "n5-{2,3}": (5, [[0, 0], [0, 1], [0, 8], [0, 9], [2, 0], [2, 1], [2, 8], [2, 9],
+                     [9, 0], [9, 1], [9, 8], [9, 9], [11, 0], [11, 1], [11, 8], [11, 9],
+                     [16, 0], [16, 1], [16, 8], [16, 9], [18, 0], [18, 1], [18, 8], [18, 9],
+                     [25, 0], [25, 1], [25, 8], [25, 9], [27, 0], [27, 1], [27, 8], [27, 9]]),
+}
 CONFIGS = {
     "config-good": {"2": {"modulus": "111", "primitive": 3}, "3": {"modulus": "1101"}},
     "config-not-object": [1, 2],
@@ -111,6 +129,11 @@ def calls() -> list[tuple[dict, list[str]]]:
         for k, (curve, op) in enumerate(itertools.product(curves, ops)):
             add("transform", "--n", str(n), "--curve", curve, "--ops", op,
                 "--format", FORMATS[k % 3])
+
+    for (n, points), fmt in itertools.product(EXCEPTIONAL.values(), FORMATS):
+        for op in ("y@2", f"x@1;z@{n};y@2;x@2"):
+            add("transform", "--n", str(n), "--curve", json.dumps(points), "--ops", op,
+                "--format", fmt)
 
     for command, n in itertools.product(("bundle", "verify"), range(1, 6)):
         for fmt in FORMATS:
