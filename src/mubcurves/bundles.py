@@ -16,7 +16,6 @@ from .errors import EmptyResult, InputError, NotCommutative
 from .curves import (
     Curve,
     PointSet,
-    _sort_key,
     all_nonintersecting,
     assert_admissible,
     commutativity_symmetric,
@@ -40,9 +39,11 @@ class Bundle:
 
 
 def bundle_candidates(F: GF2n, curves: Iterable[PointSet]) -> tuple[Curve, ...]:
-    """The distinct admissible curves in canonical order, 2^n + 1 of them,
-    whether or not they intersect."""
-    cs = tuple(sorted({assert_admissible(F, c) for c in curves}, key=_sort_key))
+    """The distinct admissible curves in canonical order, the order of
+    their sorted points, which is the order of their `gens` (see
+    `enumerate_curves`), 2^n + 1 of them, whether or not they intersect."""
+    cs = tuple(sorted({assert_admissible(F, c) for c in curves},
+                      key=operator.attrgetter("gens")))
     if len(cs) != F.order + 1:
         raise InputError(f"a bundle needs {F.order + 1} distinct curves, got {len(cs)}")
     return cs

@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import struct
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -490,18 +490,24 @@ def _subspace_bases(n: int, r: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_curves(F: GF2n) -> list[Curve]:
-    """Every admissible curve, as Curves, in a fixed sorted order.
+    """Every admissible curve, as Curves, in the order of their sorted points.
 
     Each curve is built once from its (A, M) parameters (see the module
     docstring), so none needs an admissibility test or a duplicate check.
     Its `gens` are T's reduced echelon basis, as (0, t), then the
     (a_j, f_M(a_j)), already reduced: reduction modulo T is linear, so it
     is done once per A, on the lifts.
+
+    The list is sorted by `gens`.  The doubling span of ascending reduced
+    echelon rows g_0 < g_1 < ... is ascending: two elements of the span of
+    the rows below g_k first differ in a pivot bit, where g_k is 0.  So
+    entry 2^k of the sorted points is g_k, entries below it span g_0..g_(k-1),
+    and comparing sorted point lists compares the `gens` tuples.
     """
     # one tuple per phase-space point, at its packed word a << n | b, shared
     # by every curve through it
     point = [(x, y) for x in F.elements() for y in F.elements()]
-    atlas: dict[bytes, Curve] = {}
+    atlas: list[Curve] = []
     for r in range(F.n + 1):
         for basis in _subspace_bases(F.n, r):
             # the unit words off the pivots complete A's echelon basis to a
@@ -526,23 +532,12 @@ def enumerate_curves(F: GF2n) -> list[Curve]:
                     images += [tuple(x ^ y for x, y in zip(f, step)) for f in images]
             for f in images:
                 gens = t_rows + f
-                span, key = _span_key(gens)
-                atlas[key] = _trusted(F, map(point.__getitem__, span), gens)
-    return [atlas[key] for key in sorted(atlas)]
-
-
-def _span_key(gens: Sequence[int]) -> tuple[list[int], bytes]:
-    """The packed span of `gens`, ascending, and as two big-endian bytes a
-    word, which order curves like their `sorted` points."""
-    span = [0]
-    for g in gens:
-        span += [x ^ g for x in span]
-    span.sort()
-    return span, struct.pack(f">{len(span)}H", *span)
-
-
-def _sort_key(curve: Curve) -> bytes:
-    return _span_key(curve.gens)[1]
+                span = [0]
+                for g in gens:
+                    span += [x ^ g for x in span]
+                atlas.append(_trusted(F, map(point.__getitem__, span), gens))
+    atlas.sort(key=operator.attrgetter("gens"))
+    return atlas
 
 
 def enumerate_regular(F: GF2n) -> list[Curve]:

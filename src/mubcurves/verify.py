@@ -7,13 +7,16 @@ state: a Gaussian-integer vector whose squared norm is a power of 2
 in closed form, as one such vector and its translates by the monomials of a
 complement of the curve (Aaronson & Gottesman, PRA 70, 052328, 2004), on
 (real, imaginary) int64 matrices: the one vector and the labels are checked,
-the Pauli commutation rule proves the rest.  Unbiasedness is the integer
-identity d |<u|v>|^2 == |u|^2 |v|^2, which one row of overlaps decides for
-two such bases: an atlas is checked one basis at a time against the first
-column of every earlier basis (see `verify_atlas`).  The products run in
-float64 BLAS under an asserted bound that keeps every partial sum an integer
-below 2^53, hence exact, and are cast to int64 before any comparison: no
-verdict rests on a float.
+the Pauli commutation rule proves the rest.  The vectors, their checks and
+their labels are built for all M curves of an atlas in one batched pass on
+M x d arrays, looping over the n generators (`_stabilizer_states`).
+Unbiasedness is the integer identity d |<u|v>|^2 == |u|^2 |v|^2, which one
+row of overlaps decides for two such bases: after the batched pass an atlas
+is checked one basis at a time, in one product against the first column of
+every earlier basis, in O(d^2 + M d) memory (see `verify_atlas`).  The
+products run in float64 BLAS under an asserted bound that keeps every
+partial sum an integer below 2^53, hence exact, and are cast to int64
+before any comparison: no verdict rests on a float.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError, NotCommutative
-from .curves import Point, PointSet, all_nonintersecting, assert_admissible
-from .field import GF2n, echelon_basis
+from .curves import Curve, Point, PointSet, all_nonintersecting, assert_admissible
+from .field import GF2n
 from .pauli import bundle_structure, monomial_label
 
 # -- dense operators ---------------------------------------------------------------
@@ -47,11 +50,6 @@ def dense_monomial(F: GF2n, alpha: int, beta: int) -> np.ndarray:
     M = np.zeros((F.order, F.order), dtype=np.int64)
     M[rows, rows ^ F.coord_bits[beta]] = _signs([F.coord_bits[alpha]], F.order)[0]
     return M
-
-
-def monomial_square_sign(F: GF2n, alpha: int, beta: int) -> int:
-    """(Z_alpha X_beta)^2 = chi(alpha beta) * identity."""
-    return -1 if (F.coord_bits[alpha] & F.coord_bits[beta]).bit_count() & 1 else 1
 
 
 # -- exact stabilizer vectors ------------------------------------------------------
@@ -133,75 +131,125 @@ class MubBasis:
                      for k, e in enumerate(self.norm_exps))
 
 
-def eigenbasis(F: GF2n, points: Iterable[Point]) -> MubBasis:
-    """Exact common eigenbasis of the curve's nonidentity monomials.
+def _stabilizer_states(F: GF2n, curves: Sequence[Curve], table: np.ndarray
+                       ) -> tuple[np.ndarray, ...]:
+    """One joint eigenvector v0 = v + i w of each curve's monomials, checked,
+    with the label codes and complement words of its translates; all M
+    curves at once, in one loop over the n generators per stage, on M x d
+    arrays (`table` is `_signs(np.arange(d), d)`, row z the diagonal of Z_z).
 
-    The generators are the Curve's `gens`, its one reduced echelon basis,
-    unpacked in ascending order, so a label's entry j belongs to row j of
-    `gens`; no pass over the d points looks for generators.  One joint
-    eigenvector v0 is cut out of e_0 by one generator monomial D
-    at a time: for D^2 = I it keeps whichever of v + Dv (eigenvalue +1) and
-    v - Dv (-1) is nonzero, for D^2 = -I whichever of v + iDv (-i) and
-    v - iDv (+i).  v0 is reduced by the gcd of its entries.  The other
-    columns are its translates P v0, P = Z_u X_x, (u | x) running over the
-    2^n words spanned by the unit words that are not pivots of the echelon
-    basis of the generators' (z | x) words: a complement of the curve.
-    Columns are sorted by their labels, so the result is deterministic.
-    Checked exactly: D_j v0 == i^label_j v0 for every generator j (no
-    nonzero vector passes for two anticommuting D_j), a power-of-2 norm^2,
-    and d distinct labels (dependent generator rows fail).  Proven: D_j P =
-    (-1)^s P D_j, s the symplectic parity of P and D_j, so P v0 is a joint
-    eigenvector of v0's norm with v0's label plus 2 s, and columns with
+    The generators are each Curve's `gens`, its one reduced echelon basis,
+    unpacked in ascending order, so label entry j belongs to row j of
+    `gens`; no pass over the d points looks for generators.  v0 is cut out
+    of e_0 by one generator monomial D at a time: for D^2 = I it keeps
+    whichever of v + Dv (eigenvalue +1) and v - Dv (-1) is nonzero, for
+    D^2 = -I whichever of v + iDv (-i) and v - iDv (+i), and is then
+    reduced by the gcd of its entries.  The translates are P v0,
+    P = Z_u X_t, (u | t) running over the 2^n words spanned by the unit
+    words that are not pivots of the echelon basis of the generators'
+    (z | x) words: a complement of the curve.  Translate k carries v0's
+    label plus 2 s, s the symplectic parities of P and the D_j, and the
+    columns are sorted by their labels (as base-4 codes, entry 0 the most
+    significant), so the result is deterministic.
+
+    Checked exactly, per curve: D_j v0 == i^label_j v0 for every generator
+    j (no nonzero vector passes for two anticommuting D_j), a power-of-2
+    norm^2, and d distinct labels (dependent generator rows fail).  The
+    first curve in list order that fails raises, for the first of these
+    checks it fails.  Proven: D_j P = (-1)^s P D_j, so P v0 is a joint
+    eigenvector of v0's norm with the shifted label, and columns with
     different labels differ in the eigenvalue of some unitary D_j, so they
     are orthogonal.
+
+    Returns v and w (M x d), the norm exponents (M), and the label codes
+    and the words u and t of the translates (M x d, in label order).
     """
-    pts = assert_admissible(F, points)
-    d, n = F.order, F.n
-    gens = [(g >> n, g & d - 1) for g in pts.gens]
-    z = np.array([F.coord_bits[a] for a, _ in gens])
-    x = np.array([F.coord_bits[b] for _, b in gens])
-    # generator j maps a vector v to sign[j] * v[perm[j]]
-    sign, perm = _signs(z, d), np.arange(d) ^ x[:, None]
-    # v0 = v + i w, kept as its integer real and imaginary parts
-    v, w = np.zeros(d, dtype=np.int64), np.zeros(d, dtype=np.int64)
-    v[0] = 1
-    exps = []
+    d, n, m = F.order, F.n, len(curves)
+    gens = np.array([c.gens for c in curves], dtype=np.int64).reshape(m, n)
+    coords = np.array(F.coord_bits)
+    z, x = coords[gens >> n], coords[gens & d - 1]
+    cell, rows = np.arange(d), np.arange(m)[:, None]
+    odd_square = (np.bitwise_count(z & x) & 1).astype(bool)      # D_j^2 = -I
+    v, w = np.zeros((m, d), dtype=np.int64), np.zeros((m, d), dtype=np.int64)
+    v[:, 0] = 1
+    exps = np.empty((m, n), dtype=np.int64)
+    # the (z | x) words, reduced row by row: row j loses the leading bits of
+    # rows < j, so the leading bits of the nonzero rows are the pivots
+    echelon, pivots = z << n | x, np.zeros(m, dtype=np.int64)
     # entries stay within 2^n = d in absolute value: no int64 overflow
-    for j, g in enumerate(gens):
-        dv, dw = sign[j] * v[perm[j]], sign[j] * w[perm[j]]
-        if monomial_square_sign(F, *g) == 1:
-            branches = ((v + dv, w + dw, 0), (v - dv, w - dw, 2))
-        else:
-            branches = ((v - dw, w + dv, 3), (v + dw, w - dv, 1))
-        v, w, e = next(b for b in branches if b[0].any() or b[1].any())
-        exps.append(e)
-    g = np.gcd.reduce(np.concatenate([v, w]))
+    for j in range(n):
+        # generator j maps v to sign * v[perm]
+        sign, perm = table[z[:, j]], cell ^ x[:, j, None]
+        dv, dw = sign * v[rows, perm], sign * w[rows, perm]
+        odd = odd_square[:, j, None]
+        # v + p, w + q is v + Dv, or v + iDv when D^2 = -I
+        p, q = np.where(odd, -dw, dv), np.where(odd, dv, dw)
+        plus = (v + p).any(axis=1) | (w + q).any(axis=1)
+        step = np.where(plus, 1, -1)[:, None]
+        v, w = v + step * p, w + step * q
+        exps[:, j] = (2 * ~plus + 3 * odd[:, 0]) & 3
+        row = echelon[:, j]
+        lead = np.left_shift(1, np.frexp(row)[1]) >> 1
+        pivots |= lead
+        later = echelon[:, j + 1:]
+        later ^= np.where(later & lead[:, None], row[:, None], 0)
+    g = np.gcd.reduce(np.concatenate([v, w], axis=1), axis=1)[:, None]
     v, w = v // g, w // g
-    cos, sin = np.array([1, 0, -1, 0])[exps][:, None], np.array([0, 1, 0, -1])[exps][:, None]
-    if not (np.array_equal(sign * v[perm], cos * v - sin * w)
-            and np.array_equal(sign * w[perm], sin * v + cos * w)):
-        raise NotCommutative("the cut-out vector is not a joint eigenvector")
-    norm2 = int((v * v + w * w).sum())
-    e = norm2.bit_length() - 1
-    if norm2 != 1 << e:
-        raise InputError(f"eigenvector norm^2 = {norm2} is not a power of 2")
-    # column k translates v by the complement word k: z part u[k], x part t[k]
-    pivots = {r.bit_length() - 1 for r in echelon_basis((z << n | x).tolist())}
-    free = [q for q in range(2 * n) if q not in pivots]
-    words = sum((np.arange(d) >> i & 1) << q for i, q in enumerate(free))
+    norm2 = (v * v + w * w).sum(axis=1)
+    e = np.frexp(norm2)[1] - 1
+    # translate k by the complement word k: the bits of k go to the lowest n
+    # free (non-pivot) bits, z part u, x part t
+    free, words = (1 << 2 * n) - 1 & ~pivots, np.zeros((m, d), dtype=np.int64)
+    for i in range(n):
+        low = free & -free
+        free ^= low
+        words += (cell >> i & 1) * low[:, None]
     u, t = words >> n, words & d - 1
-    odd = np.bitwise_count((u[:, None] & x) ^ (t[:, None] & z)) & 1
-    labels = (np.array(exps) + 2 * odd.astype(np.int64)) & 3
-    codes = labels @ (4 ** np.arange(len(gens) - 1, -1, -1))    # labels as base-4 numbers
-    order = np.argsort(codes)
-    if not np.diff(codes[order]).all():
-        raise NotCommutative(f"{len(set(codes.tolist()))} distinct labels among {d} columns; "
-                             "generators do not split fully")
-    u, t, labels = u[order], t[order], labels[order]
-    at = np.arange(d)[:, None] ^ t      # column k reads row r of v at r ^ t[k]
-    flip = _signs(u, d).T
-    return MubBasis(pts, tuple(map(tuple, labels.tolist())), flip * v[at], flip * w[at],
-                    np.full(d, e, dtype=np.int64))
+    cos, sin = np.array([1, 0, -1, 0])[exps], np.array([0, 1, 0, -1])[exps]
+    eigen, codes = np.ones(m, dtype=bool), np.zeros((m, d), dtype=np.int64)
+    for j in range(n):
+        sign, perm = table[z[:, j]], cell ^ x[:, j, None]
+        c, s = cos[:, j, None], sin[:, j, None]
+        eigen &= ((sign * v[rows, perm] == c * v - s * w).all(axis=1)
+                  & (sign * w[rows, perm] == s * v + c * w).all(axis=1))
+        parity = np.bitwise_count(u & x[:, j, None] ^ t & z[:, j, None]) & 1
+        codes = 4 * codes + ((exps[:, j, None] + 2 * parity) & 3)
+    order = np.argsort(codes, axis=1)
+    codes, u, t = (np.take_along_axis(a, order, axis=1) for a in (codes, u, t))
+    power_of_2 = norm2 == np.left_shift(1, e)
+    split = (np.diff(codes, axis=1) != 0).all(axis=1)
+    bad = ~(eigen & power_of_2 & split)
+    if bad.any():
+        k = int(bad.argmax())
+        if not eigen[k]:
+            raise NotCommutative("the cut-out vector is not a joint eigenvector")
+        if not power_of_2[k]:
+            raise InputError(f"eigenvector norm^2 = {norm2[k]} is not a power of 2")
+        raise NotCommutative(f"{1 + np.count_nonzero(np.diff(codes[k]))} distinct labels "
+                             f"among {d} columns; generators do not split fully")
+    return v, w, e, codes, u, t
+
+
+def _translates(table: np.ndarray, v: np.ndarray, w: np.ndarray,
+                u: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column k is Z_u[k] X_t[k] v0, v0 = v + i w: a signed permutation of
+    v0, as (real, imaginary) d x d int64 matrices."""
+    at = np.arange(len(v))[:, None] ^ t      # column k reads row r of v at r ^ t[k]
+    flip = table[u].T
+    return flip * v[at], flip * w[at]
+
+
+def eigenbasis(F: GF2n, points: Iterable[Point]) -> MubBasis:
+    """Exact common eigenbasis of the curve's nonidentity monomials: the
+    joint eigenvector of `_stabilizer_states`, run on this one curve, and
+    its translates, with the same checks and errors."""
+    pts = assert_admissible(F, points)
+    table = _signs(np.arange(F.order), F.order)
+    v, w, e, codes, u, t = _stabilizer_states(F, [pts], table)
+    labels = codes[0, :, None] >> 2 * np.arange(F.n - 1, -1, -1) & 3
+    return MubBasis(pts, tuple(map(tuple, labels.tolist())),
+                    *_translates(table, v[0], w[0], u[0], t[0]),
+                    np.full(F.order, e[0], dtype=np.int64))
 
 
 # -- MUB checks --------------------------------------------------------------------
@@ -236,19 +284,21 @@ def unbiasedness_overlaps(b1: MubBasis, b2: MubBasis) -> list[Fraction]:
     return [u.overlap_sq(v) for u in b1.vectors for v in b2.vectors]
 
 
-def _unbiased_rows(F: GF2n, re: np.ndarray, im: np.ndarray, norm_exps: np.ndarray,
-                   bound: int, b: MubBasis) -> np.ndarray:
-    """Per column u of re + i im (norm^2 2^norm_exps[u], entries at most
-    `bound`), whether d |<u|v>|^2 == 2^(e_u + e_v) for every column v of b."""
-    gre, gim = _gram(re, im, b.re, b.im, bound, b.entry_bound)
-    want = np.left_shift(1, norm_exps[:, None] + b.norm_exps[None, :])
+def _unbiased_rows(F: GF2n, a: tuple, b: tuple) -> np.ndarray:
+    """Per column u of a, whether d |<u|v>|^2 == 2^(e_u + e_v) for every
+    column v of b; a and b are (re, im, norm_exps, entry bound) column sets,
+    column k of re + i im being a vector of norm^2 2^norm_exps[k]."""
+    (are, aim, a_exps, a_bound), (bre, bim, b_exps, b_bound) = a, b
+    gre, gim = _gram(are, aim, bre, bim, a_bound, b_bound)
+    want = np.left_shift(1, a_exps[:, None] + b_exps[None, :])
     return (F.order * (gre * gre + gim * gim) == want).all(axis=1)
 
 
 def check_unbiased(F: GF2n, b1: MubBasis, b2: MubBasis) -> bool:
     """Every cross overlap |<u|v>|^2 must equal exactly 1/2^n: the full
     cross Gram, which assumes nothing about how the bases were built."""
-    return bool(_unbiased_rows(F, b1.re, b1.im, b1.norm_exps, b1.entry_bound, b2).all())
+    a, b = ((x.re, x.im, x.norm_exps, x.entry_bound) for x in (b1, b2))
+    return bool(_unbiased_rows(F, a, b).all())
 
 
 @dataclass(frozen=True)
@@ -308,30 +358,32 @@ def verify_atlas(F: GF2n, curves: Sequence[PointSet]) -> VerificationReport:
     One row decides a pair.  Its premises, that basis j holds orthogonal
     joint eigenvectors of one norm with d distinct labels (so each joint
     eigenspace of curve j is one column) and that column k of basis i is
-    P v0_i times a phase for a Pauli P, are what `eigenbasis` checks on v0
-    and its labels and proves of the translates.  P commutes or
-    anticommutes with each generator of curve j, so it maps each column of
-    basis j to another times a phase: the overlaps |<P v0_i|w>| over the
+    P v0_i times a phase for a Pauli P, are what `_stabilizer_states`
+    checks on v0 and its labels and proves of the translates.  P commutes
+    or anticommutes with each generator of curve j, so it maps each column
+    of basis j to another times a phase: the overlaps |<P v0_i|w>| over the
     columns w of basis j permute |<v0_i|w>|, and the row v0_i^dag B_j
-    fails exactly where the full cross Gram fails.  Basis j is
-    built in its turn, checked in one product against the first columns of
-    all earlier bases, and dropped: O(d^2 + M d) memory for M curves.
+    fails exactly where the full cross Gram fails.
+
+    One batched pass builds and checks every curve's v0, labels and
+    complement words (M x d arrays); then basis j is built from them in its
+    turn, checked in one product against the first columns v0_i, i < j,
+    and dropped: O(d^2 + M d) memory for M curves.  A translate is a signed
+    permutation of v0, so each basis's entry bound is read off v0.
     Identical point sets are skipped (a basis is not unbiased to itself);
     `failures` lists index pairs in `itertools.combinations` order.
     """
     curves = [assert_admissible(F, c) for c in curves]
     trace_orthogonal = not check_trace_orthogonality(F, curves)
-    d, m = F.order, len(curves)
-    # column i: the first column of basis i and its norm exponent
-    re, im = np.empty((d, m), dtype=np.int64), np.empty((d, m), dtype=np.int64)
-    norm_exps = np.empty(m, dtype=np.int64)
-    bound, failures = 0, []
-    for j, c in enumerate(curves):
-        b = eigenbasis(F, c)
-        if j:
-            ok = _unbiased_rows(F, re[:, :j], im[:, :j], norm_exps[:j], bound, b)
-            failures += [(i, j) for i in np.flatnonzero(~ok).tolist() if curves[i] != c]
-        re[:, j], im[:, j], norm_exps[j] = b.re[:, 0], b.im[:, 0], b.norm_exps[0]
-        bound = max(bound, b.entry_bound)
+    table = _signs(np.arange(F.order), F.order)
+    v, w, e, _, u, t = _stabilizer_states(F, curves, table)
+    bound = np.maximum(np.abs(v).max(axis=1), np.abs(w).max(axis=1))
+    earlier = np.maximum.accumulate(bound)      # entry i: the bound of v0_0..v0_i
+    failures = []
+    for j in range(1, len(curves)):
+        re, im = _translates(table, v[j], w[j], u[j], t[j])
+        ok = _unbiased_rows(F, (v[:j].T, w[:j].T, e[:j], int(earlier[j - 1])),
+                            (re, im, e[j:j + 1], int(bound[j])))
+        failures += [(i, j) for i in np.flatnonzero(~ok).tolist() if curves[i] != curves[j]]
     failures.sort()
-    return VerificationReport(F.n, m, trace_orthogonal, not failures, tuple(failures))
+    return VerificationReport(F.n, len(curves), trace_orthogonal, not failures, tuple(failures))

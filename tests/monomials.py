@@ -1,5 +1,7 @@
 """Pauli monomials as per-qubit coordinate tuples: the model that the tests
-hold the package's word-based labels, dense operators and rotations against."""
+hold the package's word-based labels, dense operators and rotations against;
+and the square sign of one monomial, which the package computes for every
+generator of an atlas at once."""
 
 from __future__ import annotations
 
@@ -27,6 +29,11 @@ class PauliMonomial:
     @property
     def point(self):
         return self.alpha, self.beta
+
+
+def monomial_square_sign(F, alpha, beta):
+    """(Z_alpha X_beta)^2 = chi(alpha beta) * identity."""
+    return -1 if (F.coord_bits[alpha] & F.coord_bits[beta]).bit_count() & 1 else 1
 
 
 def monomial(F, alpha, beta):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import functools
+import hashlib
 import itertools
 import random
 import sys
@@ -702,6 +703,14 @@ ORACLE_FIELDS = [make_field(n, modulus_from_bits(bits) if bits else None)
                  for n, bits in ((1, None), (2, None), (3, None), (3, "1101"),
                                  (4, None), (4, "11001"))]
 ORACLE_IDS = ["n1", "n2", "n3", "n3-1101", "n4", "n4-11001"]
+# sha256 of the atlas's sorted packed points in atlas order, per degree
+ATLAS_ORDER_SHA256 = {
+    1: "7b0b5ea3ff36958c8e32ccf24b71da9ac68e51d0881bf75e62b837ec9ea6f3a5",
+    2: "c99abb4434e20c9354aa7fc543ec5f7eba72ed04ace39a5089595d048d834336",
+    3: "a88a549513ed144b99bec93b94227cb4c34152aaa390ab88cf2d11e57f0c1dca",
+    4: "dfa26d7ae3dc896ac282aafc6111b427c485ab43b23d7d0380f1ac542537df7a",
+    5: "0627e07fcf524c70b515ce8dd8c0472ff539e88c13e194fc053aac02d83dcfa5",
+}
 
 
 def moore_explicit(F, pts):
@@ -783,11 +792,18 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("F", ORACLE_FIELDS + [make_field(5)], ids=ORACLE_IDS + ["n5"])
     def test_atlas_order_is_the_sorted_point_order(self, F):
-        """Sorting on the packed words of the span gives the order of
-        `key=sorted` over the (a, b) points, at n <= 4 and at n = 5."""
+        """Sorting on `gens` gives the order of `key=sorted` over the (a, b)
+        points, with no ties, at n <= 4 and at n = 5; and the order that
+        sorting on the packed point words gave before: the sha256 of each
+        curve's sorted points, packed a << n | b as 16-bit big-endian words,
+        in atlas order, as recorded then (the same under either modulus)."""
         atlas = C.enumerate_curves(F)
-        assert atlas == sorted(atlas, key=sorted)
-        assert len({C._sort_key(c) for c in atlas}) == len(atlas)   # no ties
+        points = [sorted(c) for c in atlas]
+        assert points == sorted(points)
+        gens = [c.gens for c in atlas]
+        assert all(g < h for g, h in zip(gens, gens[1:]))   # no ties
+        words = np.array([a << F.n | b for p in points for a, b in p], dtype=">u2")
+        assert hashlib.sha256(words.tobytes()).hexdigest() == ATLAS_ORDER_SHA256[F.n]
 
     @pytest.mark.parametrize("F", ORACLE_FIELDS + [make_field(5)], ids=ORACLE_IDS + ["n5"])
     def test_is_ray_against_scaling_closure(self, F):

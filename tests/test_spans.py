@@ -47,7 +47,9 @@ def test_install_then_uninstall_restores_every_binding(spans, capsys):
         for mod, name in [*spans.WRAPPED, ("bundles", "nonintersecting")]:
             assert getattr(layer(mod), name) is not before[1 + spans.LAYERS.index(mod)][name]
         assert layer("cli").main(["verify", "--n", "2"]) == 0
-        assert tracer.calls["cli.self"] == 1 and tracer.calls["verify.eigenbasis"] == 5
+        # verify_bundle and verify_atlas are both charged to verify.bundle
+        assert tracer.calls["cli.self"] == 1 and tracer.calls["verify.bundle"] == 2
+        assert tracer.calls["verify.trace_orth"] == 1
     finally:
         tracer.uninstall()
     capsys.readouterr()

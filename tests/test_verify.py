@@ -19,7 +19,7 @@ from mubcurves import pauli as P
 from mubcurves import verify as V
 from mubcurves.field import echelon_basis, make_field, modulus_from_bits, subgroup_span
 
-from monomials import coords, monomial
+from monomials import coords, monomial, monomial_square_sign
 from strategies import lagrangians
 from test_pauli import BUNDLES, regular_tail
 
@@ -170,7 +170,7 @@ def splitting_eigenbasis(F, points):
     # entries stay within 2^len(gens) = d in absolute value: no int64 overflow
     for j, g in enumerate(gens):
         dre, dim = sign[j] * re[perm[j]], sign[j] * im[perm[j]]
-        if V.monomial_square_sign(F, *g) == 1:
+        if monomial_square_sign(F, *g) == 1:
             # D^2 = I: v + Dv has eigenvalue +1, v - Dv has -1
             re = np.hstack([re + dre, re - dre])
             im = np.hstack([im + dim, im - dim])
@@ -272,7 +272,7 @@ class TestDenseOperators:
     def test_square_sign(self):
         for a, b in itertools.product(F8.elements(), repeat=2):
             M = V.dense_monomial(F8, a, b)
-            s = V.monomial_square_sign(F8, a, b)
+            s = monomial_square_sign(F8, a, b)
             assert np.array_equal(M @ M, s * np.eye(8, dtype=np.int64))
 
     @pytest.mark.parametrize("F", [F2, F4, F8], ids=["n1", "n2", "n3"])
@@ -450,6 +450,95 @@ BUNDLES_TO_N5 = {**BUNDLES, "rays-n5": (5, B.ray_bundle),
 @given(lagrangians(F32))
 def test_closed_form_matches_splitting_oracle_at_n5(curve):
     assert_same_basis(V.eigenbasis(F32, curve), splitting_eigenbasis(F32, curve))
+
+
+def batch_bases(F, curves):
+    """Per curve: the labels, re, im and norm exponent that the batched pass
+    over all of `curves` gives, put together as `eigenbasis` does."""
+    table = V._signs(np.arange(F.order), F.order)
+    v, w, e, codes, u, t = V._stabilizer_states(F, curves, table)
+    shifts = 2 * np.arange(F.n - 1, -1, -1)
+    for k in range(len(curves)):
+        labels = tuple(map(tuple, (codes[k, :, None] >> shifts & 3).tolist()))
+        yield (labels, *V._translates(table, v[k], w[k], u[k], t[k]), int(e[k]))
+
+
+def non_isotropic_curves(F, rng):
+    """Subgroups of order 2^n that are not isotropic, passed as if validated,
+    from random reduced echelon bases."""
+    low = F.order - 1
+    while True:
+        basis = echelon_basis(rng.randrange(1, 1 << 2 * F.n) for _ in range(F.n))
+        pts = frozenset((w >> F.n, w & low) for w in subgroup_span(basis))
+        if len(basis) == F.n and not C.is_commutative(F, pts):
+            yield C._trusted(F, pts, basis)
+
+
+NOT_EIGEN = "the cut-out vector is not a joint eigenvector"
+
+
+def raised(f, *args):
+    """The exception type and message of a call that must raise."""
+    with pytest.raises((NotCommutative, InputError)) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
+class TestBatchedStates:
+    @pytest.mark.parametrize("F", ATLAS_FIELDS, ids=ATLAS_IDS)
+    def test_batch_over_the_atlas_equals_eigenbasis(self, F):
+        """One pass over the whole atlas gives every curve the labels,
+        columns and norm of `eigenbasis` on that curve alone."""
+        atlas = C.enumerate_curves(F)
+        for c, (labels, re, im, e) in zip(atlas, batch_bases(F, atlas), strict=True):
+            b = V.eigenbasis(F, c)
+            assert labels == b.labels
+            assert np.array_equal(re, b.re) and np.array_equal(im, b.im)
+            assert (b.norm_exps == e).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bad_curve_mid_list_raises_as_alone(self, n):
+        """A `_trusted` curve with a repeated generator row, and a
+        non-isotropic one, each in the middle of a 2^n + 1 list: the
+        batch raises what `eigenbasis` raises on that curve alone."""
+        F, rng = make_field(n), random.Random(n)
+        bundle = list(B.ray_bundle(F).curves)
+        mid = len(bundle) // 2
+        ray = bundle[mid]
+        dependent = C._trusted(F, ray, ray.gens[:-1] + ray.gens[:1])
+        for bad in (dependent, *itertools.islice(non_isotropic_curves(F, rng), 20)):
+            alone = raised(V.eigenbasis, F, bad)
+            assert raised(V.verify_atlas, F, bundle[:mid] + [bad] + bundle[mid + 1:]) == alone
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_first_bad_curve_in_list_order_raises(self, n):
+        """Two bad curves in one list, failing different checks: whichever
+        comes first raises, as `eigenbasis` does on it alone."""
+        F, rng = make_field(n), random.Random(10 + n)
+        bundle = list(B.ray_bundle(F).curves)
+        ray = bundle[1]
+        dependent = C._trusted(F, ray, ray.gens[:-1] + ray.gens[:1])
+        assert "distinct labels" in raised(V.eigenbasis, F, dependent)[1]
+        anticommuting = next(c for c in non_isotropic_curves(F, rng)
+                             if raised(V.eigenbasis, F, c)[1] == NOT_EIGEN)
+        for first, second in ((dependent, anticommuting), (anticommuting, dependent)):
+            curves = [first if k == 2 else second if k == len(bundle) - 2 else c
+                      for k, c in enumerate(bundle)]
+            assert raised(V.verify_atlas, F, curves) == raised(V.eigenbasis, F, first)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_eigenvector_check_comes_before_the_labels_check(self, n):
+        """Generator rows (g0, g1, g0, ...) with g0 and g1 anticommuting: the
+        last cut by g0 leaves no eigenvector of g1, and the repeated row
+        leaves too few labels; the eigenvector check raises."""
+        F, rng = make_field(n), random.Random(20 + n)
+        low = F.order - 1
+        pts = next(c for c in non_isotropic_curves(F, rng)
+                   if C.symplectic_trace(F, *((g >> n, g & low) for g in c.gens[:2])))
+        both = C._trusted(F, pts, pts.gens[:2] + pts.gens[:1] + pts.gens[3:])
+        bundle = list(B.ray_bundle(F).curves)
+        for f, args in ((V.eigenbasis, both), (V.verify_atlas, bundle[:3] + [both] + bundle[4:])):
+            assert raised(f, F, args) == (NotCommutative, NOT_EIGEN)
 
 
 def dense_trace_violations(F, curves):
