@@ -16,19 +16,21 @@ is checked one basis at a time, in one product against the first column of
 every earlier basis, in O(d^2 + M d) memory (see `verify_atlas`).  The
 products run in float64 BLAS under an asserted bound that keeps every
 partial sum an integer below 2^53, hence exact, and are cast to int64
-before any comparison: no verdict rests on a float.
+before any comparison: no verdict rests on a float.  Distinct monomials are
+trace-orthogonal, so trace orthogonality is a count of repeated labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InputError, NotCommutative
-from .curves import Curve, Point, PointSet, all_nonintersecting, assert_admissible
+from .curves import Curve, Point, PointSet, assert_admissible
 from .field import GF2n
 from .pauli import bundle_structure, monomial_label
 
@@ -259,25 +261,21 @@ def check_trace_orthogonality(F: GF2n,
                               curves: Sequence[PointSet]) -> list[tuple[Point, Point]]:
     """Hilbert-Schmidt orthogonality of all monomials, within and across sets.
 
-    Tr(D D'^dag) must equal d exactly when the two labels coincide and 0
-    otherwise; the returned list holds the violating label pairs (empty on
-    success), in the order of `itertools.combinations_with_replacement` over
-    the labels.  Z_alpha X_beta is the sign row of Z_alpha on the permutation
-    of X_beta, so monomials with different beta have disjoint supports and
-    trace 0, and within one beta the traces are the integer Gram matrix of
-    the sign rows.
+    Tr(D_p D_q^dag) = d if p = q, else 0 (Bandyopadhyay et al., Algorithmica
+    34, 512, 2002): monomials with different beta have disjoint supports, and
+    for one beta the sign rows of different alpha are distinct characters.
+    So only a label that appears twice fails, and `F` is not used.  Labels
+    are each curve's sorted points without the origin; the result holds
+    (p, p) per pair of positions a < b with the same point p, in (a, b) order.
     """
-    d = F.order
     labelled = [p for c in curves for p in sorted(c) if p != (0, 0)]
-    by_beta: dict[int, list[int]] = {}
-    for k, (_, beta) in enumerate(labelled):
-        by_beta.setdefault(beta, []).append(k)
-    bad = []
-    for ks in by_beta.values():
-        signs = _signs([F.coord_bits[labelled[k][0]] for k in ks], d)
-        wrong = signs @ signs.T != d * np.eye(len(ks), dtype=np.int64)
-        bad += [(ks[r], ks[c]) for r, c in zip(*np.nonzero(np.triu(wrong)))]
-    return [(labelled[a], labelled[b]) for a, b in sorted(bad)]
+    ordered = sorted(labelled)      # finds the repeats with no object per label
+    at: dict[Point, list[int]] = {p: [] for p, q in zip(ordered, ordered[1:]) if p == q}
+    for k, p in enumerate(labelled):
+        if p in at:
+            at[p].append(k)
+    pairs = sorted(pair for ks in at.values() for pair in combinations(ks, 2))
+    return [(labelled[a], labelled[b]) for a, b in pairs]
 
 
 def unbiasedness_overlaps(b1: MubBasis, b2: MubBasis) -> list[Fraction]:
@@ -337,17 +335,18 @@ class BundleReport:
 def verify_bundle(F: GF2n, curves: Sequence[PointSet]) -> BundleReport:
     """Full verification of a complete bundle: geometry, algebra, unbiasedness.
 
-    The operator table lists, column per curve, the glyph labels of its
-    2^n - 1 nonidentity monomials in point order.
+    For validated curves a shared nonzero point or a repeated curve is a
+    repeated label, so `nonintersecting` is the trace-orthogonality verdict:
+    disjointness is decided once.  The operator table lists, column per
+    curve, the glyph labels of its 2^n - 1 nonidentity monomials in point order.
     """
     curves = [assert_admissible(F, c) for c in curves]
-    disjoint = all_nonintersecting(curves)
     report = verify_atlas(F, curves)
     table = tuple(tuple(monomial_label(F, a, b) for a, b in sorted(c) if (a, b) != (0, 0))
                   for c in curves)
     # transpose: one row per monomial slot, one column per curve
     table = tuple(zip(*table)) if table else ()
-    return BundleReport(F.n, disjoint, True, report.trace_orthogonal,
+    return BundleReport(F.n, report.trace_orthogonal, True, report.trace_orthogonal,
                         report.unbiased, bundle_structure(F, curves),
                         tuple(tuple(r) for r in table))
 

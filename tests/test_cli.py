@@ -325,29 +325,35 @@ class TestVerifyCommand:
 
     INTERSECTING = ["b = 0", "b = a", "b = s*a", "b = a^2", "a = 0"]
 
-    @pytest.mark.parametrize("fmt", ["text", "json", "tsv"])
-    def test_intersecting_seed_bundle_fails_with_exit_1(self, capsys, tmp_path, fmt):
+    @pytest.mark.parametrize("n, fmt", [(n, f) for n in (2, 3, 4) for f in ("text", "json", "tsv")],
+                             ids=[f if n == 2 else f"n{n}-{f}"
+                                  for n in (2, 3, 4) for f in ("text", "json", "tsv")])
+    def test_intersecting_seed_bundle_fails_with_exit_1(self, capsys, tmp_path, n, fmt):
         """2^n + 1 distinct admissible curves that meet away from the origin
-        are a bundle that fails verification, not bad input."""
+        are a bundle that fails verification, not bad input; above n = 2 the
+        seeds are the sweep's."""
+        F = make_field(n)
         seeds = tmp_path / "bundle.json"
-        seeds.write_text(json.dumps(self.INTERSECTING))
-        code, out, err = run(capsys, "verify", "--n", "2", "--seed", str(seeds),
+        seeds.write_text(json.dumps(self.INTERSECTING if n == 2 else
+                                    load_cli_sweep().SEEDS[f"bundle{n}-intersecting"]))
+        code, out, err = run(capsys, "verify", "--n", str(n), "--seed", str(seeds),
                              "--format", fmt)
         assert code == 1 and err == ""
         if fmt == "json":
             payload = json.loads(out)
             assert payload["checks"] == {"nonintersecting": False, "commuting_sets": True,
                                          "trace_orthogonality": False, "unbiasedness": False}
-            assert len(payload["curves"]) == 5
+            assert len(payload["curves"]) == F.order + 1
         else:
             lines = out.splitlines()
-            assert lines[0] == "bundle of 5 curves over GF(2^2)"
-            for line in ("nonintersecting: FAIL", "unbiasedness: FAIL", "verification FAILED"):
+            assert lines[0] == f"bundle of {F.order + 1} curves over GF(2^{n})"
+            for line in ("nonintersecting: FAIL", "trace orthogonality: FAIL",
+                         "unbiasedness: FAIL", "verification FAILED"):
                 assert line in lines
             assert lines[-1] == "verification FAILED"
         # `make_bundle` still refuses the same curves
         with pytest.raises(InputError, match="intersect away from the origin"):
-            B.make_bundle(F4, cli.load_seed_curves(F4, str(seeds)))
+            B.make_bundle(F, cli.load_seed_curves(F, str(seeds)))
 
     @pytest.mark.parametrize("seed", [
         ["b = 0", "b = a", "b = s*a", "b = a", "a = 0"],
@@ -780,6 +786,18 @@ class TestCliSweep:
             rec = cli.curve_record(F, cli.parse_curve_arg(F, json.dumps(points)))
             assert rec["kind"] == "exceptional" and name == f"n{n}-{rec['partition']}"
         assert {n for n, _ in self.sweep.EXCEPTIONAL.values()} == {2, 3, 4, 5}
+        # the FAIL lines of the report above n = 2: an intersecting seed
+        # bundle of 2^n + 1 distinct admissible curves in every format
+        seeded = {(a[2], a[4], self.option(a, "--format", "text"))
+                  for _, a in calls if a[:1] == ["verify"] and "--seed" in a}
+        for n in (3, 4):
+            seed = self.sweep.SEEDS[f"bundle{n}-intersecting"]
+            F = make_field(n)
+            curves = [cli.parse_curve_arg(F, c) for c in seed]
+            assert len(set(curves)) == len(curves) == F.order + 1
+            assert not C.all_nonintersecting(curves)
+            for fmt in ("text", "json", "tsv"):
+                assert (str(n), f"@bundle{n}-intersecting", fmt) in seeded
 
     def test_lines_hide_the_temporary_directory(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")

@@ -553,13 +553,64 @@ def dense_trace_violations(F, curves):
     return bad
 
 
+def sign_gram_trace_violations(F, curves):
+    """Oracle: the traces as integer Gram matrices of sign rows, one per
+    X-part beta.  Z_alpha X_beta is the sign row of Z_alpha on the
+    permutation of X_beta, so monomials with different beta have disjoint
+    supports and trace 0; within one beta, Tr(D D'^dag) is the dot product
+    of the two sign rows, which must be d on the diagonal and 0 off it.
+    Violating label pairs come in (a, b) order of their positions."""
+    d = F.order
+    labelled = [p for c in curves for p in sorted(c) if p != (0, 0)]
+    by_beta = {}
+    for k, (_, beta) in enumerate(labelled):
+        by_beta.setdefault(beta, []).append(k)
+    bad = []
+    for ks in by_beta.values():
+        signs = V._signs([F.coord_bits[labelled[k][0]] for k in ks], d)
+        wrong = signs @ signs.T != d * np.eye(len(ks), dtype=np.int64)
+        bad += [(ks[r], ks[c]) for r, c in zip(*np.nonzero(np.triu(wrong)))]
+    return [(labelled[a], labelled[b]) for a, b in sorted(bad)]
+
+
+def genuine_bundles(F):
+    """The ray bundle, and the regular-tail bundle where one exists (n >= 2)."""
+    bundles = [list(B.ray_bundle(F).curves)]
+    if F.n > 1:
+        bundles.append(list(B.build_regular_bundle(F, regular_tail(F)).curves))
+    return bundles
+
+
+def intersecting_controls(F, atlas, rng, count):
+    """Negative controls from genuine bundles: one curve swapped for a copy
+    of another member, and one swapped for an atlas curve that meets another
+    member away from the origin (at n = 1 the ray bundle is the atlas, so
+    there is no such curve)."""
+    out, bundles = [], genuine_bundles(F)
+    for _ in range(count):
+        curves = rng.choice(bundles)
+        swap = rng.randrange(len(curves))
+        rest = curves[:swap] + curves[swap + 1:]
+        out.append(rest[:swap] + [rng.choice(rest)] + rest[swap:])
+        if F.n > 1:
+            intruder = rng.choice(atlas)
+            while intruder in curves or C.all_nonintersecting(rest + [intruder]):
+                intruder = rng.choice(atlas)
+            out.append(rest[:swap] + [intruder] + rest[swap:])
+    return out
+
+
 class TestTraceOrthogonality:
-    @pytest.mark.parametrize("F", [F4, F8], ids=["n2", "n3"])
+    @pytest.mark.parametrize("F", [F4, F8, make_field(4)], ids=["n2", "n3", "n4"])
     def test_grouped_matches_dense_reference(self, F):
         rng = random.Random(F.n)
-        atlas = ATLASES[F.n]
+        atlas = ATLASES.get(F.n) or C.enumerate_curves(F)
         lists = [B.ray_bundle(F).curves, B.ray_bundle(F).curves[:2] * 2]
-        lists += [rng.sample(atlas, rng.randrange(1, F.order + 2)) for _ in range(40)]
+        if F.n < 4:
+            lists += [rng.sample(atlas, rng.randrange(1, F.order + 2)) for _ in range(40)]
+        else:   # the dense products cost d^3 per label pair: a few lists
+            lists += [rng.sample(atlas, rng.randrange(2, 6)) for _ in range(3)]
+            lists += intersecting_controls(F, atlas, rng, 1)
         failing = 0
         for curves in lists:
             want = dense_trace_violations(F, curves)
@@ -570,6 +621,22 @@ class TestTraceOrthogonality:
                                   or len(set(curves)) < len(curves))
         assert 0 < failing < len(lists)
 
+    @pytest.mark.parametrize("F", ATLAS_FIELDS, ids=ATLAS_IDS)
+    def test_label_count_matches_sign_gram(self, F):
+        """Bundles, the empty list, seeded atlas samples and negative
+        controls: the label count gives the sign-row Gram's list."""
+        rng = random.Random(30 + F.n)
+        atlas = ATLASES.get(F.n) or C.enumerate_curves(F)
+        lists = [[], *genuine_bundles(F), *intersecting_controls(F, atlas, rng, 10)]
+        lists += [rng.sample(atlas, rng.randrange(1, min(len(atlas), F.order + 2) + 1))
+                  for _ in range(20)]
+        failing = 0
+        for curves in lists:
+            want = sign_gram_trace_violations(F, curves)
+            assert V.check_trace_orthogonality(F, curves) == want
+            failing += bool(want)
+        assert failing >= (20 if F.n > 1 else 10)
+
     def test_bundle_passes(self):
         assert V.check_trace_orthogonality(F4, B.ray_bundle(F4).curves) == []
 
@@ -579,6 +646,23 @@ class TestTraceOrthogonality:
         bad = V.check_trace_orthogonality(
             F4, [ray(F4, 1), C.point_set(F4, C.curve_from_phi(F4, [0, 1]))])
         assert ((1, 1), (1, 1)) in bad
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.data())
+def test_label_count_matches_sign_gram_at_n5(data):
+    """n = 5, where the atlas is too large to sample: a genuine bundle, the
+    same with drawn Lagrangians inserted, and with a member repeated."""
+    bundle = data.draw(st.sampled_from(genuine_bundles(F32)))
+    curves = list(bundle)
+    for c in data.draw(st.lists(lagrangians(F32), min_size=1, max_size=3)):
+        curves.insert(data.draw(st.integers(0, len(curves))), c)
+    repeated = list(bundle)
+    repeated.insert(data.draw(st.integers(0, len(bundle))), data.draw(st.sampled_from(bundle)))
+    assert V.check_trace_orthogonality(F32, bundle) == sign_gram_trace_violations(F32, bundle) == []
+    for controls in (curves, repeated):
+        want = sign_gram_trace_violations(F32, controls)
+        assert want and V.check_trace_orthogonality(F32, controls) == want
 
 
 class TestUnbiasedness:
@@ -791,6 +875,21 @@ class TestVerifyBundle:
         for i in range(len(curves)):
             with pytest.raises(NotCommutative):
                 V.verify_bundle(F4, curves[:i] + [bad] + curves[i + 1:])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_disjointness_is_the_trace_verdict(self, n):
+        """`nonintersecting` is read off the label count, and it agrees with
+        `trace_orthogonal` and with `all_nonintersecting`, the independent
+        union count, on bundles and on negative controls."""
+        F, rng = make_field(n), random.Random(40 + n)
+        atlas = ATLASES.get(n) or C.enumerate_curves(F)
+        lists = genuine_bundles(F) + intersecting_controls(F, atlas, rng, 4)
+        verdicts = []
+        for curves in lists:
+            rep = V.verify_bundle(F, curves)
+            assert rep.nonintersecting == rep.trace_orthogonal == C.all_nonintersecting(curves)
+            verdicts.append(rep.nonintersecting)
+        assert verdicts == [True, True] + [False] * 8
 
     def test_table_glyphs(self):
         rep = V.verify_bundle(F4, B.ray_bundle(F4).curves)

@@ -60,6 +60,15 @@ SEEDS = {
     "bundle2-repeated": ["b = 0", "b = a", "b = s*a", "b = a", "a = 0"],
     "bundle2-intersecting": ["b = 0", "b = a", "b = s*a", "b = a^2", "a = 0"],
     "bundle2-short": ["b = 0", "b = a", "a = 0"],
+    # 2^n + 1 distinct admissible curves: the ray bundle with one ray swapped
+    # for a regular curve, which meets other members away from the origin
+    "bundle3-intersecting": ["b = 0", "b = a", "b = s*a", "b = s^2*a",
+                             "b = s^6*a + s^3*a^2 + s^5*a^4", "b = s^4*a", "b = s^5*a",
+                             "b = s^6*a", "a = 0"],
+    "bundle4-intersecting": ["b = 0", "b = a", "b = s*a",
+                             *(f"b = s^{k}*a" for k in range(2, 7)),
+                             "a = s^2*b + s^3*b^2 + s^5*b^4 + s^9*b^8",
+                             *(f"b = s^{k}*a" for k in range(8, 15)), "a = 0"],
     "bundle2-non-isotropic": [[[0, 0], [1, 2], [2, 1], [3, 3]], "b = a", "b = s*a",
                               "b = s^2*a", "a = 0"],
     "bundle1": ["b = 0", "b = a", "a = 0"],
@@ -155,6 +164,10 @@ def calls() -> list[tuple[dict, list[str]]]:
             (1, 2, 3)):
         add("verify", "--n", str(n), "--seed", f"@{seed}")
         add("verify", "--n", str(n), "--seed", f"@{seed}", "--format", "tsv")
+    for seed, n in (("bundle3-intersecting", 3), ("bundle4-intersecting", 4)):
+        add("verify", "--n", str(n), "--seed", f"@{seed}")
+        for fmt in FORMATS[1:]:
+            add("verify", "--n", str(n), "--seed", f"@{seed}", "--format", fmt)
 
     for argv in ([], ["nope"], ["field", "--n", "x"], ["field", "--n"],
                  ["curves", "--format", "yaml"], ["transform", "--n", "2", "--curve", "b = a"],
